@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     RateVector,
@@ -28,7 +28,7 @@ from .core import (
     weights_from_scales,
 )
 from .errors import NotNormalizedError, StructureViolationError, ZeroDivisorError
-from .series import Series
+from .series import Series, product_of_scaled
 
 #: Default truncation order for solvers and residual sweeps.
 DEFAULT_ORDER = 16
@@ -267,23 +267,27 @@ def _normalize(psi: Series) -> Series:
     return psi.scale_values(1.0 / a0)
 
 
-def _offdiag_products(psi: Series, mu: ScaleVector) -> list[Series]:
-    """For each j, the product of psi(mu_i t) over i != j."""
-    out = []
-    for j in range(mu.n):
-        prod = Series.one(psi.order)
-        for i, m in enumerate(mu.scales):
-            if i != j:
-                prod = prod * psi.scale_arg(m)
-        out.append(prod)
-    return out
+def _mixture(mu: ScaleVector, survival: bool) -> list[float]:
+    """Mixture coefficients w_j (density form) or w_j / mu_j (survival form)."""
+    weights = weights_from_scales(mu).weights
+    if survival:
+        return [w / m for w, m in zip(weights, mu.scales)]
+    return list(weights)
+
+
+def _target(k: int, survival: bool) -> float:
+    """Order-k coefficient of the right-hand side, 1 (density) or -t (survival)."""
+    if survival:
+        return -1.0 if k == 1 else 0.0
+    return 1.0 if k == 0 else 0.0
 
 
 def _weighted_combination(
     psi: Series, mu: ScaleVector, coeffs: Sequence[float]
 ) -> tuple[list[float], list[float]]:
     """Series sum_j coeffs[j] * prod_{i != j} psi(mu_i t), with per-order scales."""
-    products = _offdiag_products(psi, mu)
+    s = mu.scales
+    products = [product_of_scaled(psi, s[:j] + s[j + 1 :]) for j in range(mu.n)]
     values = []
     scales = []
     for k in range(psi.order + 1):
@@ -293,24 +297,34 @@ def _weighted_combination(
     return values, scales
 
 
-def _verdict_from_residuals(
-    psi: Series,
-    residuals: list[float],
-    scales: list[float],
-    tol: float,
-) -> tuple[str, Optional[int], Optional[float]]:
-    first_violation = None
+def _residual(
+    psi: Series, mu: ScaleVector, survival: bool, tol: float
+) -> ResidualReport:
+    psi = _normalize(psi)
+    values, scales = _weighted_combination(psi, mu, _mixture(mu, survival))
+    residuals = [v - _target(k, survival) for k, v in enumerate(values)]
+    violation = None
+    fitted = None
     for k, (r, s) in enumerate(zip(residuals, scales)):
         if not _scaled_ok(r, s, tol):
-            first_violation = k
+            violation = k
             break
-    if first_violation is not None:
-        return VERDICT_INCOMPATIBLE, first_violation, None
-    if all(abs(c) <= tol for c in psi.coefficients[1:]):
-        return VERDICT_DEGENERATE, None, None
-    a1 = psi.coefficients[1]
-    fitted = 1.0 / a1 if a1 > 0.0 else None
-    return VERDICT_COMPATIBLE, None, fitted
+    if violation is not None:
+        verdict = VERDICT_INCOMPATIBLE
+    elif all(abs(c) <= tol for c in psi.coefficients[1:]):
+        verdict = VERDICT_DEGENERATE
+    else:
+        verdict = VERDICT_COMPATIBLE
+        a1 = psi.coefficients[1]
+        fitted = 1.0 / a1 if a1 > 0.0 else None
+    return ResidualReport(
+        order=psi.order,
+        residuals=tuple(residuals),
+        tolerance=tol,
+        verdict=verdict,
+        first_violation_k=violation,
+        fitted_lambda=fitted,
+    )
 
 
 def residual_h(
@@ -321,21 +335,7 @@ def residual_h(
     psi is normalized to unit constant term first.  Residual order 0 is the
     weight-sum defect; orders >= 1 must vanish for a solution.
     """
-    psi = _normalize(psi)
-    weights = weights_from_scales(mu)
-    values, scales = _weighted_combination(psi, mu, weights.weights)
-    residuals = [values[0] - 1.0] + values[1:]
-    verdict, violation, fitted = _verdict_from_residuals(
-        psi, residuals, scales, tol
-    )
-    return ResidualReport(
-        order=psi.order,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=verdict,
-        first_violation_k=violation,
-        fitted_lambda=fitted,
-    )
+    return _residual(psi, mu, survival=False, tol=tol)
 
 
 def residual_q(
@@ -345,24 +345,7 @@ def residual_q(
 
     The order-k residual is the series coefficient minus the target -[k == 1].
     """
-    psi = _normalize(psi)
-    weights = weights_from_scales(mu)
-    coeffs = [w / m for w, m in zip(weights.weights, mu.scales)]
-    values, scales = _weighted_combination(psi, mu, coeffs)
-    residuals = list(values)
-    if psi.order >= 1:
-        residuals[1] += 1.0
-    verdict, violation, fitted = _verdict_from_residuals(
-        psi, residuals, scales, tol
-    )
-    return ResidualReport(
-        order=psi.order,
-        residuals=tuple(residuals),
-        tolerance=tol,
-        verdict=verdict,
-        first_violation_k=violation,
-        fitted_lambda=fitted,
-    )
+    return _residual(psi, mu, survival=True, tol=tol)
 
 
 def _elementary_symmetric(values: Sequence[float], k: int) -> float:
@@ -400,6 +383,35 @@ def _check_unit_block_cancellation(
         )
 
 
+def _forward_solve(
+    mu: ScaleVector,
+    mix: Sequence[float],
+    divisors: StructuralCoefficients,
+    coeffs: list[float],
+    survival: bool,
+    check: Optional[Callable[[int], None]] = None,
+) -> Series:
+    """Fill coeffs[k] from the first free order up; ``check(k)`` runs after each.
+
+    Order k reads remainder - s * L_k * a_k = target_k, the remainder being the
+    order-k coefficient at a_k = 0.  Survival form: s = +1, L = d, free from
+    order 1.  Density form: s = -1, L = c, free from order 2 (a_1 is given).
+    """
+    sign = 1.0 if survival else -1.0
+    for k in range(1 if survival else 2, len(coeffs)):
+        partial = Series(tuple(coeffs[: k + 1]))
+        values, _ = _weighted_combination(partial, mu, mix)
+        lk = divisors.at(k)
+        if abs(lk) <= 1e-13 * divisors.scale_at(k):
+            raise ZeroDivisorError(
+                f"{divisors.kind}_{k} = {lk!r} is numerically zero"
+            )
+        coeffs[k] = (values[k] - _target(k, survival)) / (sign * lk)
+        if check is not None:
+            check(k)
+    return Series(tuple(coeffs))
+
+
 def forward_solve_theorem1(
     mu: ScaleVector,
     a1: float,
@@ -418,15 +430,10 @@ def forward_solve_theorem1(
     cks = c_coefficients(mu, order, tol)
     weights = weights_from_scales(mu)
     coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
-    for k in range(2, order + 1):
-        partial = Series(tuple(coeffs[: k + 1]))
-        values, _ = _weighted_combination(partial, mu, weights.weights)
-        ck = cks.at(k)
-        if abs(ck) <= 1e-13 * cks.scale_at(k):
-            raise ZeroDivisorError(f"c_{k} = {ck!r} is numerically zero")
-        coeffs[k] = -values[k] / ck
-        _check_unit_block_cancellation(mu, weights, a1, k, tol)
-    return Series(tuple(coeffs))
+    return _forward_solve(
+        mu, weights.weights, cks, coeffs, survival=False,
+        check=lambda k: _check_unit_block_cancellation(mu, weights, a1, k, tol),
+    )
 
 
 def forward_solve_theorem2(
@@ -439,19 +446,9 @@ def forward_solve_theorem2(
     Returns the solved series, which must come out as (1, 1, 0, ..., 0).
     """
     dks = d_coefficients(mu, order, tol)
-    weights = weights_from_scales(mu)
-    mix = [w / m for w, m in zip(weights.weights, mu.scales)]
-    coeffs = [1.0] + [0.0] * order
-    for k in range(1, order + 1):
-        partial = Series(tuple(coeffs[: k + 1]))
-        values, _ = _weighted_combination(partial, mu, mix)
-        dk = dks.at(k)
-        if abs(dk) <= 1e-13 * dks.scale_at(k):
-            raise ZeroDivisorError(f"d_{k} = {dk!r} is numerically zero")
-        target = -1.0 if k == 1 else 0.0
-        # values[k] = -dk * a_k + remainder; solve values[k] == target.
-        coeffs[k] = (values[k] - target) / dk
-    return Series(tuple(coeffs))
+    return _forward_solve(
+        mu, _mixture(mu, survival=True), dks, [1.0] + [0.0] * order, survival=True
+    )
 
 
 def is_exponential_series(

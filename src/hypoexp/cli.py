@@ -91,8 +91,16 @@ def _read_reals(source: str) -> list[float]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_USAGE; argparse's own 2 means EXIT_REJECT here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypoexp",
         description=(
             "Hypoexponential distribution toolkit and exponential "
@@ -106,78 +114,82 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        return p
-
-    p = add("weights", "signed mixture weights from rates, scales, or n")
+    p = sub.add_parser(
+        "weights", help="signed mixture weights from rates, scales, or n"
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rates", help="JSON array or CSV path of rates")
     group.add_argument("--scales", help="JSON array or CSV path of scales")
     group.add_argument("--binomial", type=int, help="harmonic-scale case for given n")
 
     for name in ("pdf", "cdf", "sf"):
-        p = add(name, f"evaluate the {name} at one or more points")
+        p = sub.add_parser(name, help=f"evaluate the {name} at one or more points")
         p.add_argument("--rates", required=True)
         p.add_argument("--x", required=True, help="JSON array of points")
 
-    p = add("quantile", "invert the cdf at one or more probabilities")
+    p = sub.add_parser("quantile", help="invert the cdf at one or more probabilities")
     p.add_argument("--rates", required=True)
     p.add_argument("--p", required=True, help="JSON array of probabilities")
 
-    p = add("moments", "raw moment of order k, mean, and variance")
+    p = sub.add_parser("moments", help="raw moment of order k, mean, and variance")
     p.add_argument("--rates", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("sample", "deterministic draws from the distribution")
+    p = sub.add_parser("sample", help="deterministic draws from the distribution")
     p.add_argument("--rates", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = add("laplace", "Laplace transform in product and mixture form")
+    p = sub.add_parser("laplace", help="Laplace transform in product and mixture form")
     p.add_argument("--rates", required=True)
     p.add_argument("--t", required=True, help="JSON array of transform arguments")
 
-    p = add("verify-lemma2", "check the weight identities at every order")
+    p = sub.add_parser(
+        "verify-lemma2", help="check the weight identities at every order"
+    )
     p.add_argument("--rates", required=True)
     p.add_argument("--K", type=int, default=12)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = add("coeffs", "structural coefficients of the forward recursions")
+    p = sub.add_parser(
+        "coeffs", help="structural coefficients of the forward recursions"
+    )
     p.add_argument("--which", choices=("c", "d"), required=True)
     p.add_argument("--scales", required=True)
     p.add_argument("--K", type=int, default=DEFAULT_ORDER)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = add("residual", "residuals of a candidate series in either equation")
+    p = sub.add_parser(
+        "residual", help="residuals of a candidate series in either equation"
+    )
     p.add_argument("--which", choices=("h", "q"), required=True)
     p.add_argument("--psi", required=True, help="JSON array of series coefficients")
     p.add_argument("--scales", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = add("solve", "forward-solve the coefficient recursion")
+    p = sub.add_parser("solve", help="forward-solve the coefficient recursion")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--scales", required=True)
     p.add_argument("--a1", type=float, default=1.0)
     p.add_argument("--K", type=int, default=DEFAULT_ORDER)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = add("oracle-convolve", "compare the analytic density to convolution quadrature")
+    p = sub.add_parser(
+        "oracle-convolve", help="compare the analytic density to convolution quadrature"
+    )
     p.add_argument("--rates", required=True)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--tmax", type=float, default=None)
 
-    p = add("test-exponential", "tuple-based exponentiality test on data")
+    p = sub.add_parser(
+        "test-exponential", help="tuple-based exponentiality test on data"
+    )
     p.add_argument("--data", required=True, help="path, '-' for stdin, or JSON array")
     p.add_argument("--scales", required=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
-
-
-def _config(**kwargs) -> dict:
-    return kwargs
 
 
 def _run(args) -> tuple[dict, int]:
@@ -221,7 +233,7 @@ def _run(args) -> tuple[dict, int]:
         dist = HypoexpDistribution.from_rates(_read_reals(args.rates))
         draws = dist.sample(args.n, args.seed)
         return {
-            "config": _config(seed=args.seed, n=args.n),
+            "config": {"seed": args.seed, "n": args.n},
             "samples": [float(v) for v in draws],
         }, EXIT_OK
 
@@ -238,7 +250,7 @@ def _run(args) -> tuple[dict, int]:
         report = lemma2_check(
             validate_rates(_read_reals(args.rates)), order=args.K, tol=args.tol
         )
-        payload = {"config": _config(K=args.K, tol=args.tol)}
+        payload = {"config": {"K": args.K, "tol": args.tol}}
         payload.update(report.to_dict())
         return payload, EXIT_OK if report.passed else EXIT_REJECT
 
@@ -247,7 +259,7 @@ def _run(args) -> tuple[dict, int]:
         fn = c_coefficients if args.which == "c" else d_coefficients
         coeffs = fn(mu, args.K, args.tol)
         return {
-            "config": _config(K=args.K, tol=args.tol),
+            "config": {"K": args.K, "tol": args.tol},
             "which": coeffs.kind,
             "values": list(coeffs.values),
         }, EXIT_OK
@@ -257,7 +269,7 @@ def _run(args) -> tuple[dict, int]:
         psi = Series.from_coefficients(_read_reals(args.psi))
         fn = residual_h if args.which == "h" else residual_q
         report = fn(psi, mu, tol=args.tol)
-        payload = {"config": _config(tol=args.tol), "which": args.which}
+        payload = {"config": {"tol": args.tol}, "which": args.which}
         payload.update(report.to_dict())
         code = EXIT_OK if report.compatible else EXIT_REJECT
         return payload, code
@@ -270,7 +282,7 @@ def _run(args) -> tuple[dict, int]:
             solved = forward_solve_theorem2(mu, order=args.K, tol=args.tol)
         verdict = is_exponential_series(solved, tol=max(args.tol, 1e-9))
         payload = {
-            "config": _config(K=args.K, tol=args.tol, theorem=args.theorem),
+            "config": {"K": args.K, "tol": args.tol, "theorem": args.theorem},
             "series": list(solved.coefficients),
         }
         payload.update(verdict.to_dict())
@@ -281,7 +293,7 @@ def _run(args) -> tuple[dict, int]:
         gd = convolve_numeric(rv, step=args.step, t_max=args.tmax)
         dist = HypoexpDistribution.from_rates(rv)
         return {
-            "config": _config(step=args.step, t_max=float(gd.grid[-1])),
+            "config": {"step": args.step, "t_max": float(gd.grid[-1])},
             "n_points": len(gd.grid),
             "integral": gd.integral(),
             "sup_distance": gd.sup_distance_to(dist.pdf),
@@ -291,7 +303,7 @@ def _run(args) -> tuple[dict, int]:
         mu = validate_scales(_read_reals(args.scales))
         data = _read_reals(args.data)
         report = exponentiality_test(data, mu, alpha=args.alpha, seed=args.seed)
-        payload = {"config": _config(alpha=args.alpha, seed=args.seed)}
+        payload = {"config": {"alpha": args.alpha, "seed": args.seed}}
         payload.update(report.to_dict())
         return payload, EXIT_REJECT if report.rejected else EXIT_OK
 

@@ -38,6 +38,10 @@ BINOMIAL_CAP = 60
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+#: Quantile bisection: target |cdf(x) - p| and the cap on halvings.
+_QUANTILE_TOL = 1e-13
+_QUANTILE_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class RateVector:
@@ -76,11 +80,9 @@ class ScaleVector:
     def n(self) -> int:
         return len(self.scales)
 
-    def to_rates(self, reference: float = 1.0) -> RateVector:
-        """Rates lambda_j = reference / mu_j, ascending (mu descending)."""
-        return RateVector(
-            tuple(reference / m for m in self.scales), self.permutation
-        )
+    def to_rates(self) -> RateVector:
+        """Rates lambda_j = 1 / mu_j, ascending (mu descending)."""
+        return RateVector(tuple(1.0 / m for m in self.scales), self.permutation)
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,27 @@ class WeightVector:
         )
 
 
+def _validate(
+    raw: Sequence[float], tol: float, noun: str, descending: bool
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Positive, finite, pairwise distinct values, sorted; and their input positions."""
+    values = [float(v) for v in raw]
+    if len(values) < 2:
+        raise TooFewRatesError(f"need at least 2 {noun}s, got {len(values)}")
+    for v in values:
+        if not math.isfinite(v) or v <= 0.0:
+            raise NonPositiveRateError(f"{noun} {v!r} is not a positive real")
+    sign = -1.0 if descending else 1.0
+    order = sorted(range(len(values)), key=lambda i: sign * values[i])
+    ordered = [values[i] for i in order]
+    for a, b in zip(ordered, ordered[1:]):
+        if abs(b - a) / max(a, b) < tol:
+            raise NotDistinctError(
+                f"{noun}s {a!r} and {b!r} closer than relative tolerance {tol!r}"
+            )
+    return tuple(ordered), tuple(order)
+
+
 def validate_rates(
     raw: Sequence[float], tol: float = DISTINCTNESS_TOL
 ) -> RateVector:
@@ -115,40 +138,14 @@ def validate_rates(
 
     Raises TooFewRatesError, NonPositiveRateError, or NotDistinctError.
     """
-    values = [float(v) for v in raw]
-    if len(values) < 2:
-        raise TooFewRatesError(f"need at least 2 rates, got {len(values)}")
-    for v in values:
-        if not math.isfinite(v) or v <= 0.0:
-            raise NonPositiveRateError(f"rate {v!r} is not a positive real")
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    rates = [values[i] for i in order]
-    for a, b in zip(rates, rates[1:]):
-        if (b - a) / max(a, b) < tol:
-            raise NotDistinctError(
-                f"rates {a!r} and {b!r} closer than relative tolerance {tol!r}"
-            )
-    return RateVector(tuple(rates), tuple(order))
+    return RateVector(*_validate(raw, tol, "rate", descending=False))
 
 
 def validate_scales(
     raw: Sequence[float], tol: float = DISTINCTNESS_TOL
 ) -> ScaleVector:
     """Validate raw scales and sort them strictly descending."""
-    values = [float(v) for v in raw]
-    if len(values) < 2:
-        raise TooFewRatesError(f"need at least 2 scales, got {len(values)}")
-    for v in values:
-        if not math.isfinite(v) or v <= 0.0:
-            raise NonPositiveRateError(f"scale {v!r} is not a positive real")
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    scales = [values[i] for i in order]
-    for a, b in zip(scales, scales[1:]):
-        if (a - b) / max(a, b) < tol:
-            raise NotDistinctError(
-                f"scales {a!r} and {b!r} closer than relative tolerance {tol!r}"
-            )
-    return ScaleVector(tuple(scales), tuple(order))
+    return ScaleVector(*_validate(raw, tol, "scale", descending=True))
 
 
 def lagrange_weights(rates: RateVector) -> WeightVector:
@@ -210,12 +207,6 @@ def binomial_weights(n: int) -> WeightVector:
     return WeightVector(tuple(weights), tuple(signs), tuple(log_mags), exact=True)
 
 
-def _as_rate_vector(rates: RateVector | Sequence[float]) -> RateVector:
-    if isinstance(rates, RateVector):
-        return rates
-    return validate_rates(rates)
-
-
 @dataclass(frozen=True)
 class HypoexpDistribution:
     """Sum of independent exponentials with distinct rates.
@@ -227,10 +218,8 @@ class HypoexpDistribution:
     weights: WeightVector
 
     @classmethod
-    def from_rates(
-        cls, rates: RateVector | Sequence[float], tol: float = DISTINCTNESS_TOL
-    ) -> "HypoexpDistribution":
-        rv = rates if isinstance(rates, RateVector) else validate_rates(rates, tol)
+    def from_rates(cls, rates: RateVector | Sequence[float]) -> "HypoexpDistribution":
+        rv = rates if isinstance(rates, RateVector) else validate_rates(rates)
         return cls(rv, lagrange_weights(rv))
 
     @property
@@ -242,7 +231,8 @@ class HypoexpDistribution:
     def pdf(self, x):
         """Density at x >= 0; accepts a scalar or an ndarray."""
         if isinstance(x, np.ndarray):
-            return self._pdf_many(x)
+            coeffs = np.asarray(self.weights.weights) * np.asarray(self.rates.rates)
+            return np.maximum(self._mixture_many(x, coeffs), 0.0)
         x = float(x)
         if x < 0.0:
             raise ValueError(f"x={x!r} outside support [0, inf)")
@@ -261,7 +251,8 @@ class HypoexpDistribution:
     def survival(self, x):
         """P(S > x); accepts a scalar or an ndarray."""
         if isinstance(x, np.ndarray):
-            return self._survival_many(x)
+            values = self._mixture_many(x, np.asarray(self.weights.weights))
+            return np.clip(values, 0.0, 1.0)
         x = float(x)
         if x < 0.0:
             raise ValueError(f"x={x!r} outside support [0, inf)")
@@ -281,17 +272,13 @@ class HypoexpDistribution:
         """P(S <= x) = 1 - survival(x); accepts a scalar or an ndarray."""
         return 1.0 - self.survival(x)
 
-    def _pdf_many(self, x: np.ndarray) -> np.ndarray:
-        lam = np.asarray(self.rates.rates)
-        w = np.asarray(self.weights.weights)
-        values = np.exp(-np.outer(x, lam)) @ (w * lam)
-        return np.maximum(values, 0.0)
-
-    def _survival_many(self, x: np.ndarray) -> np.ndarray:
-        lam = np.asarray(self.rates.rates)
-        w = np.asarray(self.weights.weights)
-        values = np.exp(-np.outer(x, lam)) @ w
-        return np.clip(values, 0.0, 1.0)
+    def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x."""
+        if np.any(x < 0.0):
+            raise ValueError(
+                f"x={float(x[x < 0.0][0])!r} outside support [0, inf)"
+            )
+        return np.exp(-np.outer(x, np.asarray(self.rates.rates))) @ coeffs
 
     # -- transforms and moments ----------------------------------------------
 
@@ -338,8 +325,8 @@ class HypoexpDistribution:
 
     # -- inverse cdf and sampling --------------------------------------------
 
-    def quantile(self, p: float, tol: float = 1e-13, max_iter: int = 500) -> float:
-        """Inverse cdf by bracketing bisection; cdf(quantile(p)) is within tol of p."""
+    def quantile(self, p: float) -> float:
+        """Inverse cdf by bracketing bisection; |cdf(quantile(p)) - p| <= 1e-13."""
         p = float(p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"p={p!r} must lie in (0, 1)")
@@ -351,10 +338,10 @@ class HypoexpDistribution:
             if doublings > 200:
                 raise NonConvergenceError(f"no bracket found for p={p!r}")
         lower = 0.0
-        for _ in range(max_iter):
+        for _ in range(_QUANTILE_MAX_ITER):
             mid = 0.5 * (lower + upper)
             c = self.cdf(mid)
-            if abs(c - p) <= tol:
+            if abs(c - p) <= _QUANTILE_TOL:
                 return mid
             if c < p:
                 lower = mid
@@ -363,7 +350,8 @@ class HypoexpDistribution:
             if upper - lower <= 1e-16 * max(1.0, upper):
                 return 0.5 * (lower + upper)
         raise NonConvergenceError(
-            f"bisection did not converge for p={p!r} after {max_iter} iterations"
+            f"bisection did not converge for p={p!r}"
+            f" after {_QUANTILE_MAX_ITER} iterations"
         )
 
     def sample(self, count: int, seed: int) -> np.ndarray:

@@ -37,10 +37,6 @@ class ZeroConstantTermError(HypoexpError):
     """Series reciprocal requested for a series with zero constant term."""
 
 
-class BudgetExceededError(HypoexpError):
-    """Composition enumeration would exceed the hard budget cap."""
-
-
 class StructureViolationError(HypoexpError):
     """A structural sign condition on c_k / d_k coefficients failed."""
 

@@ -1,4 +1,4 @@
-"""Independent numerical oracles: convolution quadrature, Monte Carlo, KS.
+"""Independent numerical oracles: convolution quadrature and KS.
 
 Everything here validates the analytic machinery without reusing it: the
 density is rebuilt by iterated trapezoid convolution of the component
@@ -28,6 +28,9 @@ DEFAULT_SEED = 20130915
 
 #: Asymptotic KS critical constants c(alpha); threshold is c / sqrt(N).
 KS_CONSTANTS = {0.05: 1.36, 0.01: 1.63}
+
+#: Largest trapezoid mass defect ``convolve_numeric`` accepts on its grid.
+_INTEGRAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,12 @@ def convolve_numeric(
     rates: RateVector | Sequence[float],
     step: float = 1e-3,
     t_max: Optional[float] = None,
-    integral_tol: float = 1e-6,
 ) -> GridDensity:
     """n-fold density by iterated trapezoid convolution of exponential densities.
 
     Independent of the signed-weight formula.  The grid must be fine enough
     that the trapezoid mass matches the analytic cdf at the right endpoint to
-    ``integral_tol``; otherwise GridTooCoarseError is raised.
+    1e-6; otherwise GridTooCoarseError is raised.
     """
     if isinstance(rates, RateVector):
         lam = rates.rates
@@ -136,34 +138,12 @@ def convolve_numeric(
 
     gd = GridDensity(grid=grid, values=values, step=step)
     mass_defect = abs(gd.integral() - right_mass(float(grid[-1])))
-    if mass_defect > integral_tol:
+    if mass_defect > _INTEGRAL_TOL:
         raise GridTooCoarseError(
-            f"trapezoid mass off by {mass_defect:.3e} (> {integral_tol:.1e});"
+            f"trapezoid mass off by {mass_defect:.3e} (> {_INTEGRAL_TOL:.1e});"
             " refine the grid step"
         )
     return gd
-
-
-def mc_weighted_sum(
-    component_sampler: Callable[[int, np.random.Generator], np.ndarray],
-    mu: ScaleVector,
-    count: int,
-    seed: int = DEFAULT_SEED,
-) -> np.ndarray:
-    """Draws of sum_j mu_j X_j with independent per-component streams.
-
-    Component streams are spawned from the master seed, so results are
-    deterministic and independent of any parallel evaluation order.
-    """
-    if count < 1:
-        raise ValueError(f"count={count} must be >= 1")
-    streams = np.random.SeedSequence(seed).spawn(mu.n)
-    total = np.zeros(count)
-    for m, stream in zip(mu.scales, streams):
-        total += m * np.asarray(
-            component_sampler(count, np.random.default_rng(stream))
-        )
-    return total
 
 
 def exponentiality_test(

@@ -3,21 +3,17 @@
 A Series holds coefficients a_0..a_K of a power series truncated at order K.
 Products of argument-scaled copies of one series, prod_i u(mu_i t), are the
 workhorse of the characterization equations; their coefficients are computed
-by repeated Cauchy product, with a multi-index enumeration kept only as an
-independent (budget-capped) oracle.
+by repeated Cauchy product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import ScaleVector
-from .errors import BudgetExceededError, ZeroConstantTermError
-
-#: Hard cap on the number of multi-indices an enumeration may produce.
-COMPOSITION_BUDGET = 10**7
+from .errors import ZeroConstantTermError
 
 
 @dataclass(frozen=True)
@@ -97,54 +93,3 @@ def product_of_scaled(u: Series, mu: ScaleVector | Sequence[float]) -> Series:
         out = out * u.scale_arg(m)
     return out
 
-
-def composition_count(k: int, m: int) -> int:
-    """Number of m-tuples of nonnegative integers summing to k (stars and bars)."""
-    return math.comb(k + m - 1, m - 1)
-
-
-def enumerate_compositions(k: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All m-tuples of nonnegative integers with entry sum k, lexicographically.
-
-    Raises BudgetExceededError up front when the count C(k+m-1, m-1) exceeds
-    the hard budget.
-    """
-    if k < 0 or m < 1:
-        raise ValueError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
-    count = composition_count(k, m)
-    if count > COMPOSITION_BUDGET:
-        raise BudgetExceededError(
-            f"{count} compositions of {k} into {m} parts exceeds budget"
-            f" {COMPOSITION_BUDGET}"
-        )
-    return _compositions(k, m)
-
-
-def _compositions(k: int, m: int) -> Iterator[tuple[int, ...]]:
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, m - 1):
-            yield (first,) + rest
-
-
-def leibniz_coefficient(
-    u: Series, mu: ScaleVector | Sequence[float], k: int
-) -> float:
-    """Coefficient k of prod_i u(mu_i t) by direct multi-index summation.
-
-    Evaluates sum over |alpha| = k of prod_i mu_i^alpha_i * a_{alpha_i}.
-    Exponential in k; exists as a test oracle for ``product_of_scaled``.
-    """
-    scales = mu.scales if isinstance(mu, ScaleVector) else tuple(mu)
-    if k > u.order:
-        raise ValueError(f"k={k} exceeds truncation order {u.order}")
-    a = u.coefficients
-    terms = []
-    for alpha in enumerate_compositions(k, len(scales)):
-        prod = 1.0
-        for m, ai in zip(scales, alpha):
-            prod *= m**ai * a[ai]
-        terms.append(prod)
-    return math.fsum(terms)

@@ -17,7 +17,6 @@ from hypoexp import (
     ks_critical,
     ks_distance,
     lagrange_weights,
-    leibniz_coefficient,
     product_of_scaled,
     residual_h,
     residual_q,
@@ -27,6 +26,7 @@ from hypoexp import (
 )
 
 from conftest import random_rates, random_scales
+from reference import leibniz_coefficient
 
 MU2 = validate_scales([1.0, 0.5])
 

@@ -8,7 +8,6 @@ from hypoexp import (
     c_coefficients,
     complete_homogeneous,
     d_coefficients,
-    enumerate_compositions,
     forward_solve_theorem1,
     forward_solve_theorem2,
     is_exponential_series,
@@ -27,6 +26,7 @@ from hypoexp.characterize import (
 from hypoexp.errors import NotNormalizedError
 
 from conftest import random_scales
+from reference import enumerate_compositions
 
 MU2 = validate_scales([1.0, 0.5])
 

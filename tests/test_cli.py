@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +231,45 @@ class TestOutputFormat:
         parsed = json.loads(out)
         exact = lagrange_weights(validate_rates([1.0, 2.0]))
         assert parsed["weights"] == list(exact.weights)
+
+
+class TestUsageErrors:
+    def test_missing_argument_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--rates", "[1, 2]"])
+        assert exc.value.code == 1
+        assert "--k" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hypoexp")
+
+
+def readme_examples() -> list[tuple[list[str], int]]:
+    """Each ``hypoexp ...`` line of the README's CLI block with its exit code.
+
+    A line's exit code is 0 unless its comment says ``exit N``.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("hypoexp "):
+            code = re.search(r"#.*\bexit (\d)", line)
+            argv = shlex.split(line, comments=True)[1:]
+            examples.append((argv, int(code.group(1)) if code else 0))
+    return examples
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    examples = readme_examples()
+    assert len(examples) >= 12
+    rng = np.random.default_rng(20130915)
+    np.savetxt(tmp_path / "observations.csv", rng.exponential(2.0, 2000))
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == expected, (argv, err)
+        json.loads(out)

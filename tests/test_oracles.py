@@ -7,7 +7,6 @@ from hypoexp import (
     exponentiality_test,
     ks_critical,
     ks_distance,
-    mc_weighted_sum,
     validate_scales,
 )
 from hypoexp.errors import (
@@ -15,6 +14,8 @@ from hypoexp.errors import (
     InsufficientDataError,
     NonPositiveObservationError,
 )
+
+from reference import mc_weighted_sum
 
 MU2 = validate_scales([1.0, 0.5])
 

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from hypoexp import (
     HypoexpDistribution,
     binomial_weights,
-    enumerate_compositions,
     ks_critical,
     ks_distance,
     lagrange_weights,
@@ -26,6 +25,7 @@ from hypoexp.errors import (
 )
 
 from conftest import MIN_RELATIVE_GAP, random_rates
+from reference import enumerate_compositions
 
 
 @st.composite
@@ -198,6 +198,13 @@ class TestPdfCdf:
     def test_pdf_negative_x_rejected(self, dist12):
         with pytest.raises(ValueError):
             dist12.pdf(-0.1)
+
+    def test_array_negative_x_rejected(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0, 3.0, 4.0, 5.0])
+        for xs in (np.array([-1.0]), np.array([0.0, 2.0, -1e-300])):
+            for fn in (dist.pdf, dist.cdf, dist.survival):
+                with pytest.raises(ValueError):
+                    fn(xs)
 
     def test_survival_log2(self, dist12):
         assert dist12.survival(math.log(2.0)) == pytest.approx(0.75, rel=1e-14)
