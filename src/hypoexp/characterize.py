@@ -28,7 +28,7 @@ from .core import (
     weights_from_scales,
 )
 from .errors import NotNormalizedError, StructureViolationError, ZeroDivisorError
-from .series import Series, product_of_scaled
+from .series import ScaledProducts, Series
 
 #: Default truncation order for solvers and residual sweeps.
 DEFAULT_ORDER = 16
@@ -150,6 +150,11 @@ def _scaled_ok(value: float, scale: float, tol: float) -> bool:
     return abs(value) <= tol * max(1.0, scale)
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"truncation order {order!r} must be at least 1")
+
+
 def c_coefficients(
     mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
 ) -> StructuralCoefficients:
@@ -158,7 +163,13 @@ def c_coefficients(
     Checks the structural signs (c_1 = 0 within tolerance, c_k < 0 for
     k >= 2) and raises StructureViolationError when they fail.
     """
-    weights = weights_from_scales(mu)
+    _check_order(order)
+    return _c_coefficients(mu, weights_from_scales(mu), order, tol)
+
+
+def _c_coefficients(
+    mu: ScaleVector, weights: WeightVector, order: int, tol: float
+) -> StructuralCoefficients:
     values = []
     scales = []
     for k in range(1, order + 1):
@@ -185,7 +196,13 @@ def d_coefficients(
 
     Checks d_1 = 1 within tolerance and d_k > 0 for k >= 2.
     """
-    weights = weights_from_scales(mu)
+    _check_order(order)
+    return _d_coefficients(mu, weights_from_scales(mu), order, tol)
+
+
+def _d_coefficients(
+    mu: ScaleVector, weights: WeightVector, order: int, tol: float
+) -> StructuralCoefficients:
     values = []
     scales = []
     for k in range(1, order + 1):
@@ -212,6 +229,7 @@ def lemma2_check(
     The reciprocal-power gaps are formally guaranteed only up to k = n-1, but
     hold at every order; the sweep reports all k <= order.
     """
+    _check_order(order)
     weights = lagrange_weights(rates)
     lam = rates.rates
     w = weights.weights
@@ -267,12 +285,11 @@ def _normalize(psi: Series) -> Series:
     return psi.scale_values(1.0 / a0)
 
 
-def _mixture(mu: ScaleVector, survival: bool) -> list[float]:
+def _mixture(mu: ScaleVector, weights: WeightVector, survival: bool) -> list[float]:
     """Mixture coefficients w_j (density form) or w_j / mu_j (survival form)."""
-    weights = weights_from_scales(mu).weights
     if survival:
-        return [w / m for w, m in zip(weights, mu.scales)]
-    return list(weights)
+        return [w / m for w, m in zip(weights.weights, mu.scales)]
+    return list(weights.weights)
 
 
 def _target(k: int, survival: bool) -> float:
@@ -282,27 +299,28 @@ def _target(k: int, survival: bool) -> float:
     return 1.0 if k == 0 else 0.0
 
 
-def _weighted_combination(
-    psi: Series, mu: ScaleVector, coeffs: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """Series sum_j coeffs[j] * prod_{i != j} psi(mu_i t), with per-order scales."""
-    s = mu.scales
-    products = [product_of_scaled(psi, s[:j] + s[j + 1 :]) for j in range(mu.n)]
-    values = []
-    scales = []
-    for k in range(psi.order + 1):
-        terms = [c * p[k] for c, p in zip(coeffs, products)]
-        values.append(math.fsum(terms))
-        scales.append(max(abs(t) for t in terms))
-    return values, scales
+def _leave_one_out(mu: ScaleVector) -> ScaledProducts:
+    """products[j] = prod_{i != j} psi(mu_i t), grown as psi's coefficients are."""
+    n = mu.n
+    return ScaledProducts(
+        mu.scales, [[i for i in range(n) if i != j] for j in range(n)]
+    )
 
 
 def _residual(
     psi: Series, mu: ScaleVector, survival: bool, tol: float
 ) -> ResidualReport:
     psi = _normalize(psi)
-    values, scales = _weighted_combination(psi, mu, _mixture(mu, survival))
-    residuals = [v - _target(k, survival) for k, v in enumerate(values)]
+    mix = _mixture(mu, weights_from_scales(mu), survival)
+    products = _leave_one_out(mu)
+    for a in psi.coefficients:
+        products.grow(a)
+    residuals = []
+    scales = []
+    for k in range(psi.order + 1):
+        terms = [c * p[k] for c, p in zip(mix, products.products)]
+        residuals.append(math.fsum(terms) - _target(k, survival))
+        scales.append(max(abs(t) for t in terms))
     violation = None
     fitted = None
     for k, (r, s) in enumerate(zip(residuals, scales)):
@@ -348,39 +366,42 @@ def residual_q(
     return _residual(psi, mu, survival=True, tol=tol)
 
 
-def _elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """Elementary symmetric polynomial e_k via the product recurrence."""
+def _elementary_symmetric(values: Sequence[float], k: int) -> list[float]:
+    """Elementary symmetric polynomials e_0..e_k via the product recurrence."""
     e = [1.0] + [0.0] * k
     for v in values:
         for d in range(min(k, len(values)), 0, -1):
             e[d] += v * e[d - 1]
-    return e[k]
+    return e
 
 
-def _check_unit_block_cancellation(
-    mu: ScaleVector,
-    weights: WeightVector,
-    a1: float,
-    k: int,
-    tol: float,
-) -> None:
-    """The all-ones multi-index block of order k must cancel across j.
+def _unit_block_check(
+    mu: ScaleVector, weights: WeightVector, a1: float, tol: float
+) -> Callable[[int], None]:
+    """check(k): the all-ones multi-index block of order k must cancel across j.
 
     Its contribution is a1^k * sum_j w_j * e_k(mu with entry j removed),
-    which vanishes identically because sum_j w_j / mu_j = 0.
+    which vanishes identically because sum_j w_j / mu_j = 0.  The e_k tables
+    are built once, to order n-1, the last order checked.
     """
-    if not 2 <= k <= mu.n - 1:
-        return
-    terms = []
-    for j, w in enumerate(weights.weights):
-        others = [m for i, m in enumerate(mu.scales) if i != j]
-        terms.append(w * a1**k * _elementary_symmetric(others, k))
-    total = math.fsum(terms)
-    scale = max(abs(t) for t in terms)
-    if not _scaled_ok(total, scale, max(tol, 1e-11)):
-        raise StructureViolationError(
-            f"order-{k} all-ones block sums to {total!r}, expected cancellation"
-        )
+    n = mu.n
+    tables = [
+        _elementary_symmetric(mu.scales[:j] + mu.scales[j + 1 :], n - 1)
+        for j in range(n)
+    ]
+
+    def check(k: int) -> None:
+        if not 2 <= k <= n - 1:
+            return
+        terms = [w * a1**k * e[k] for w, e in zip(weights.weights, tables)]
+        total = math.fsum(terms)
+        scale = max(abs(t) for t in terms)
+        if not _scaled_ok(total, scale, max(tol, 1e-11)):
+            raise StructureViolationError(
+                f"order-{k} all-ones block sums to {total!r}, expected cancellation"
+            )
+
+    return check
 
 
 def _forward_solve(
@@ -396,17 +417,25 @@ def _forward_solve(
     Order k reads remainder - s * L_k * a_k = target_k, the remainder being the
     order-k coefficient at a_k = 0.  Survival form: s = +1, L = d, free from
     order 1.  Density form: s = -1, L = c, free from order 2 (a_1 is given).
+    The leave-one-out products grow by one order per step: a_{k-1}, then a
+    trial a_k = 0 that is read and dropped again.
     """
     sign = 1.0 if survival else -1.0
-    for k in range(1 if survival else 2, len(coeffs)):
-        partial = Series(tuple(coeffs[: k + 1]))
-        values, _ = _weighted_combination(partial, mu, mix)
+    first = 1 if survival else 2
+    products = _leave_one_out(mu)
+    for a in coeffs[: first - 1]:
+        products.grow(a)
+    for k in range(first, len(coeffs)):
+        products.grow(coeffs[k - 1])
+        products.grow(0.0)
+        remainder = math.fsum(c * p[k] for c, p in zip(mix, products.products))
+        products.undo()
         lk = divisors.at(k)
         if abs(lk) <= 1e-13 * divisors.scale_at(k):
             raise ZeroDivisorError(
                 f"{divisors.kind}_{k} = {lk!r} is numerically zero"
             )
-        coeffs[k] = (values[k] - _target(k, survival)) / (sign * lk)
+        coeffs[k] = (remainder - _target(k, survival)) / (sign * lk)
         if check is not None:
             check(k)
     return Series(tuple(coeffs))
@@ -425,14 +454,15 @@ def forward_solve_theorem1(
     isolated by division.  For the exponential candidate the solved a_k all
     vanish; a near-zero divisor c_k signals numeric breakdown.
     """
+    _check_order(order)
     if a1 <= 0.0:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
-    cks = c_coefficients(mu, order, tol)
     weights = weights_from_scales(mu)
+    cks = _c_coefficients(mu, weights, order, tol)
     coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
     return _forward_solve(
         mu, weights.weights, cks, coeffs, survival=False,
-        check=lambda k: _check_unit_block_cancellation(mu, weights, a1, k, tol),
+        check=_unit_block_check(mu, weights, a1, tol),
     )
 
 
@@ -445,9 +475,12 @@ def forward_solve_theorem2(
 
     Returns the solved series, which must come out as (1, 1, 0, ..., 0).
     """
-    dks = d_coefficients(mu, order, tol)
+    _check_order(order)
+    weights = weights_from_scales(mu)
+    dks = _d_coefficients(mu, weights, order, tol)
     return _forward_solve(
-        mu, _mixture(mu, survival=True), dks, [1.0] + [0.0] * order, survival=True
+        mu, _mixture(mu, weights, survival=True), dks, [1.0] + [0.0] * order,
+        survival=True,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -72,22 +73,28 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key} = {_format_value(value)}")
 
 
-def _read_reals(source: str) -> list[float]:
-    """Inline JSON array, a single-column CSV/text path, or '-' for stdin."""
+def _read_reals(source: str, option: str) -> list[float]:
+    """Inline JSON array, a single-column CSV/text path, or '-' for stdin.
+
+    Raises ValueError naming ``option`` on a NaN or infinite entry.
+    """
     text = source.strip()
     if text.startswith("["):
-        values = json.loads(text)
-        return [float(v) for v in values]
-    if text == "-":
-        raw = sys.stdin.read()
+        out = [float(v) for v in json.loads(text)]
     else:
-        with open(text) as fh:
-            raw = fh.read()
-    out = []
-    for line in raw.splitlines():
-        line = line.split(",")[0].strip()
-        if line:
-            out.append(float(line))
+        if text == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(text) as fh:
+                raw = fh.read()
+        out = []
+        for line in raw.splitlines():
+            line = line.split(",")[0].strip()
+            if line:
+                out.append(float(line))
+    for v in out:
+        if not math.isfinite(v):
+            raise ValueError(f"--{option}: non-finite value {v!r}")
     return out
 
 
@@ -199,9 +206,10 @@ def _run(args) -> tuple[dict, int]:
         if args.binomial is not None:
             wv = binomial_weights(args.binomial)
         elif args.rates is not None:
-            wv = lagrange_weights(validate_rates(_read_reals(args.rates)))
+            wv = lagrange_weights(validate_rates(_read_reals(args.rates, "rates")))
         else:
-            wv = weights_from_scales(validate_scales(_read_reals(args.scales)))
+            mu = validate_scales(_read_reals(args.scales, "scales"))
+            wv = weights_from_scales(mu)
         return {
             "weights": list(wv.weights),
             "signs": list(wv.signs),
@@ -210,18 +218,18 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd in ("pdf", "cdf", "sf"):
-        dist = HypoexpDistribution.from_rates(_read_reals(args.rates))
-        xs = _read_reals(args.x)
+        dist = HypoexpDistribution.from_rates(_read_reals(args.rates, "rates"))
+        xs = _read_reals(args.x, "x")
         fn = {"pdf": dist.pdf, "cdf": dist.cdf, "sf": dist.survival}[cmd]
         return {"x": xs, "values": [fn(x) for x in xs]}, EXIT_OK
 
     if cmd == "quantile":
-        dist = HypoexpDistribution.from_rates(_read_reals(args.rates))
-        ps = _read_reals(args.p)
+        dist = HypoexpDistribution.from_rates(_read_reals(args.rates, "rates"))
+        ps = _read_reals(args.p, "p")
         return {"p": ps, "values": [dist.quantile(p) for p in ps]}, EXIT_OK
 
     if cmd == "moments":
-        dist = HypoexpDistribution.from_rates(_read_reals(args.rates))
+        dist = HypoexpDistribution.from_rates(_read_reals(args.rates, "rates"))
         return {
             "k": args.k,
             "moment": dist.moment(args.k),
@@ -230,7 +238,7 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "sample":
-        dist = HypoexpDistribution.from_rates(_read_reals(args.rates))
+        dist = HypoexpDistribution.from_rates(_read_reals(args.rates, "rates"))
         draws = dist.sample(args.n, args.seed)
         return {
             "config": {"seed": args.seed, "n": args.n},
@@ -238,8 +246,8 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "laplace":
-        dist = HypoexpDistribution.from_rates(_read_reals(args.rates))
-        ts = _read_reals(args.t)
+        dist = HypoexpDistribution.from_rates(_read_reals(args.rates, "rates"))
+        ts = _read_reals(args.t, "t")
         return {
             "t": ts,
             "product": [dist.laplace(t, "product") for t in ts],
@@ -248,14 +256,14 @@ def _run(args) -> tuple[dict, int]:
 
     if cmd == "verify-lemma2":
         report = lemma2_check(
-            validate_rates(_read_reals(args.rates)), order=args.K, tol=args.tol
+            validate_rates(_read_reals(args.rates, "rates")), order=args.K, tol=args.tol
         )
         payload = {"config": {"K": args.K, "tol": args.tol}}
         payload.update(report.to_dict())
         return payload, EXIT_OK if report.passed else EXIT_REJECT
 
     if cmd == "coeffs":
-        mu = validate_scales(_read_reals(args.scales))
+        mu = validate_scales(_read_reals(args.scales, "scales"))
         fn = c_coefficients if args.which == "c" else d_coefficients
         coeffs = fn(mu, args.K, args.tol)
         return {
@@ -265,8 +273,8 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "residual":
-        mu = validate_scales(_read_reals(args.scales))
-        psi = Series.from_coefficients(_read_reals(args.psi))
+        mu = validate_scales(_read_reals(args.scales, "scales"))
+        psi = Series.from_coefficients(_read_reals(args.psi, "psi"))
         fn = residual_h if args.which == "h" else residual_q
         report = fn(psi, mu, tol=args.tol)
         payload = {"config": {"tol": args.tol}, "which": args.which}
@@ -275,7 +283,7 @@ def _run(args) -> tuple[dict, int]:
         return payload, code
 
     if cmd == "solve":
-        mu = validate_scales(_read_reals(args.scales))
+        mu = validate_scales(_read_reals(args.scales, "scales"))
         if args.theorem == 1:
             solved = forward_solve_theorem1(mu, args.a1, order=args.K, tol=args.tol)
         else:
@@ -289,7 +297,7 @@ def _run(args) -> tuple[dict, int]:
         return payload, EXIT_OK
 
     if cmd == "oracle-convolve":
-        rv = validate_rates(_read_reals(args.rates))
+        rv = validate_rates(_read_reals(args.rates, "rates"))
         gd = convolve_numeric(rv, step=args.step, t_max=args.tmax)
         dist = HypoexpDistribution.from_rates(rv)
         return {
@@ -300,8 +308,8 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "test-exponential":
-        mu = validate_scales(_read_reals(args.scales))
-        data = _read_reals(args.data)
+        mu = validate_scales(_read_reals(args.scales, "scales"))
+        data = _read_reals(args.data, "data")
         report = exponentiality_test(data, mu, alpha=args.alpha, seed=args.seed)
         payload = {"config": {"alpha": args.alpha, "seed": args.seed}}
         payload.update(report.to_dict())

@@ -3,6 +3,10 @@
 Multi-index enumeration gives product coefficients independently of the
 Cauchy-product recursion in ``hypoexp.series``, and ``mc_weighted_sum`` draws
 weighted sums of independent components for the sampling checks.
+``solve_by_rebuild`` and ``residual_by_rebuild`` are the characterization
+equations computed the direct way, every leave-one-out product rebuilt from
+scratch by ``Series`` multiplication at every order; the incremental
+products in ``hypoexp.characterize`` must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +16,22 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from hypoexp import DEFAULT_SEED, ScaleVector, Series
-from hypoexp.errors import HypoexpError
+from hypoexp import (
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    ResidualReport,
+    ScaleVector,
+    Series,
+    c_coefficients,
+    d_coefficients,
+    weights_from_scales,
+)
+from hypoexp.characterize import (
+    VERDICT_COMPATIBLE,
+    VERDICT_DEGENERATE,
+    VERDICT_INCOMPATIBLE,
+)
+from hypoexp.errors import HypoexpError, StructureViolationError, ZeroDivisorError
 
 #: Hard cap on the number of multi-indices an enumeration may produce.
 COMPOSITION_BUDGET = 10**7
@@ -95,3 +113,115 @@ def mc_weighted_sum(
             component_sampler(count, np.random.default_rng(stream))
         )
     return total
+
+
+def _scaled_ok(value: float, scale: float, tol: float) -> bool:
+    return abs(value) <= tol * max(1.0, scale)
+
+
+def _product_by_chain(u: Series, scales: Sequence[float]) -> Series:
+    """prod_i u(mu_i t) as successive Series products, in scale order."""
+    out = u.scale_arg(scales[0])
+    for m in scales[1:]:
+        out = out * u.scale_arg(m)
+    return out
+
+
+def _leave_one_out_sum(
+    psi: Series, mu: ScaleVector, mix: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """sum_j mix[j] * prod_{i != j} psi(mu_i t) per order, with its largest term."""
+    s = mu.scales
+    products = [_product_by_chain(psi, s[:j] + s[j + 1 :]) for j in range(mu.n)]
+    values = []
+    scales = []
+    for k in range(psi.order + 1):
+        terms = [c * p[k] for c, p in zip(mix, products)]
+        values.append(math.fsum(terms))
+        scales.append(max(abs(t) for t in terms))
+    return values, scales
+
+
+def _mixture(mu: ScaleVector, survival: bool) -> list[float]:
+    weights = weights_from_scales(mu).weights
+    if survival:
+        return [w / m for w, m in zip(weights, mu.scales)]
+    return list(weights)
+
+
+def _target(k: int, survival: bool) -> float:
+    if survival:
+        return -1.0 if k == 1 else 0.0
+    return 1.0 if k == 0 else 0.0
+
+
+def _unit_block_cancels(mu: ScaleVector, a1: float, k: int, tol: float) -> None:
+    """Order k's all-ones block, e_k of each leave-one-out set recomputed to order k."""
+    if not 2 <= k <= mu.n - 1:
+        return
+    terms = []
+    for j, w in enumerate(weights_from_scales(mu).weights):
+        e = [1.0] + [0.0] * k
+        for v in mu.scales[:j] + mu.scales[j + 1 :]:
+            for d in range(k, 0, -1):
+                e[d] += v * e[d - 1]
+        terms.append(w * a1**k * e[k])
+    total = math.fsum(terms)
+    if not _scaled_ok(total, max(abs(t) for t in terms), max(tol, 1e-11)):
+        raise StructureViolationError(f"order-{k} all-ones block sums to {total!r}")
+
+
+def solve_by_rebuild(
+    mu: ScaleVector, order: int, a1: float | None = None, tol: float = DEFAULT_TOL
+) -> tuple[float, ...]:
+    """Forward solve of theorem 1 (a1 given) or theorem 2 (a1 None).
+
+    Order k rebuilds every prod_{i != j} psi(mu_i t) of the partial series
+    a_0..a_k with a_k = 0, reads the remainder at order k and divides by
+    -c_k (theorem 1) or d_k (theorem 2).
+    """
+    survival = a1 is None
+    if survival:
+        divisors, sign = d_coefficients(mu, order, tol), 1.0
+        coeffs = [1.0] + [0.0] * order
+    else:
+        divisors, sign = c_coefficients(mu, order, tol), -1.0
+        coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
+    mix = _mixture(mu, survival)
+    for k in range(1 if survival else 2, order + 1):
+        values, _ = _leave_one_out_sum(Series(tuple(coeffs[: k + 1])), mu, mix)
+        if abs(divisors.at(k)) <= 1e-13 * divisors.scale_at(k):
+            raise ZeroDivisorError(f"{divisors.kind}_{k} is numerically zero")
+        coeffs[k] = (values[k] - _target(k, survival)) / (sign * divisors.at(k))
+        if not survival:
+            _unit_block_cancels(mu, a1, k, tol)
+    return tuple(coeffs)
+
+
+def residual_by_rebuild(
+    psi: Series, mu: ScaleVector, survival: bool, tol: float = DEFAULT_TOL
+) -> ResidualReport:
+    """Residual report of the survival-form (q) or density-form (h) equation."""
+    a0 = psi.coefficients[0]
+    if a0 != 1.0:
+        psi = psi.scale_values(1.0 / a0)
+    values, scales = _leave_one_out_sum(psi, mu, _mixture(mu, survival))
+    residuals = [v - _target(k, survival) for k, v in enumerate(values)]
+    violation = next(
+        (
+            k
+            for k, (r, s) in enumerate(zip(residuals, scales))
+            if not _scaled_ok(r, s, tol)
+        ),
+        None,
+    )
+    fitted = None
+    if violation is not None:
+        verdict = VERDICT_INCOMPATIBLE
+    elif all(abs(c) <= tol for c in psi.coefficients[1:]):
+        verdict = VERDICT_DEGENERATE
+    else:
+        verdict = VERDICT_COMPATIBLE
+        a1 = psi.coefficients[1]
+        fitted = 1.0 / a1 if a1 > 0.0 else None
+    return ResidualReport(psi.order, tuple(residuals), tol, verdict, violation, fitted)

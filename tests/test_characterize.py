@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypoexp import (
     Series,
@@ -23,10 +25,10 @@ from hypoexp.characterize import (
     VERDICT_DEGENERATE,
     VERDICT_INCOMPATIBLE,
 )
-from hypoexp.errors import NotNormalizedError
+from hypoexp.errors import HypoexpError, NotNormalizedError
 
 from conftest import random_scales
-from reference import enumerate_compositions
+from reference import enumerate_compositions, residual_by_rebuild, solve_by_rebuild
 
 MU2 = validate_scales([1.0, 0.5])
 
@@ -270,6 +272,72 @@ class TestUnitBlockCancellation:
                         terms.append(prod)
                 total = math.fsum(terms)
                 assert abs(total) <= 1e-11 * max(1.0, max(abs(t) for t in terms))
+
+
+def _descending(top_and_gaps) -> list[float]:
+    top, gaps = top_and_gaps
+    scales = [top]
+    for g in gaps:
+        scales.append(scales[-1] / (1.0 + g))
+    return scales
+
+
+#: 2..10 descending scales, adjacent relative gaps of at least 1/21.
+scale_sets = st.tuples(
+    st.floats(0.1, 10.0), st.lists(st.floats(0.05, 1.0), min_size=1, max_size=9)
+).map(_descending)
+
+_constant_terms = st.sampled_from([1.0, 0.9241091008139, -2.5]) | st.floats(0.1, 10.0)
+
+#: Orders 0..10 with constant terms away from 1 and zeros of both signs, or
+#: a constant multiple of an exponential candidate 1 + a_1 t.
+candidate_series = st.integers(0, 10).flatmap(
+    lambda order: st.tuples(
+        _constant_terms,
+        st.lists(
+            st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0),
+            min_size=order, max_size=order,
+        ),
+    ).map(lambda head_tail: [head_tail[0]] + head_tail[1])
+) | st.tuples(_constant_terms, st.floats(0.1, 10.0), st.integers(1, 10)).map(
+    lambda t: [t[0], t[0] * t[1]] + [0.0] * (t[2] - 1)
+)
+
+
+def _outcome(thunk) -> str:
+    """repr of the result, exact for floats and signed zeros, or the error type."""
+    try:
+        return repr(thunk())
+    except (HypoexpError, ValueError) as exc:
+        return type(exc).__name__
+
+
+class TestIncrementalProducts:
+    """Solves and residuals equal the per-order rebuild of the products, bit for bit."""
+
+    @given(scale_sets, candidate_series, st.floats(0.01, 10.0))
+    @example([1.0, 0.5, 0.25, 0.125], [0.9241091008139, 0.5, 0.0, -0.0, 1.5], 1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rebuilt_products(self, scales, coeffs, a1):
+        mu = validate_scales(scales)
+        psi = Series.from_coefficients(coeffs)
+        for fn, survival in ((residual_h, False), (residual_q, True)):
+            assert _outcome(lambda: fn(psi, mu).to_dict()) == _outcome(
+                lambda: residual_by_rebuild(psi, mu, survival).to_dict()
+            )
+        order = psi.order
+        if order < 1:
+            with pytest.raises(ValueError):
+                forward_solve_theorem1(mu, a1, order=order)
+            with pytest.raises(ValueError):
+                forward_solve_theorem2(mu, order=order)
+            return
+        assert _outcome(
+            lambda: forward_solve_theorem1(mu, a1, order=order).coefficients
+        ) == _outcome(lambda: solve_by_rebuild(mu, order, a1))
+        assert _outcome(
+            lambda: forward_solve_theorem2(mu, order=order).coefficients
+        ) == _outcome(lambda: solve_by_rebuild(mu, order))
 
 
 class TestIsExponentialSeries:

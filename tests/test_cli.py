@@ -246,6 +246,60 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: hypoexp")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--theorem", "1", "--scales", "[1, 0.5]", "--K", "0"],
+            ["solve", "--theorem", "1", "--scales", "[1, 0.5]", "--K", "-3"],
+            ["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--K", "0"],
+            ["coeffs", "--which", "c", "--scales", "[1, 0.5]", "--K", "-2"],
+            ["coeffs", "--which", "d", "--scales", "[1, 0.5]", "--K", "0"],
+            ["verify-lemma2", "--rates", "[1, 2]", "--K", "-1"],
+        ],
+    )
+    def test_order_below_one_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be at least 1" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["pdf", "--rates", "[1, 2]", "--x", "[NaN]"], "--x"),
+            (["cdf", "--rates", "[1, Infinity]", "--x", "[1]"], "--rates"),
+            (["residual", "--which", "h", "--scales", "[1, 0.5]",
+              "--psi", "[1, 0, NaN, 0]"], "--psi"),
+            (["solve", "--theorem", "2", "--scales", "[1, -Infinity]"], "--scales"),
+        ],
+    )
+    def test_inline_json_rejected(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {option}: non-finite value")
+
+    def test_csv_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_text("1.0\ninf\n")
+        code, out, err = run(capsys, "weights", "--rates", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --rates: non-finite value inf")
+
+    def test_stdin_rejected(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.5\nnan\n1.5\n"))
+        code, out, err = run(
+            capsys, "test-exponential", "--data", "-", "--scales", "[1, 0.5]"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --data: non-finite value nan")
+
 
 def readme_examples() -> list[tuple[list[str], int]]:
     """Each ``hypoexp ...`` line of the README's CLI block with its exit code.
