@@ -1,7 +1,10 @@
 """Hypoexponential distributions and the exponential characterization verifier."""
 
+import importlib
+
 from .core import (
     BINOMIAL_CAP,
+    DEFAULT_SEED,
     DISTINCTNESS_TOL,
     HypoexpDistribution,
     RateVector,
@@ -31,16 +34,19 @@ from .characterize import (
     residual_h,
     residual_q,
 )
-from .oracles import (
-    DEFAULT_SEED,
-    GridDensity,
-    TestReport,
-    convolve_numeric,
-    exponentiality_test,
-    ks_critical,
-    ks_distance,
-)
 from . import errors
+
+#: Loaded on first access (PEP 562): only the oracles import numpy at import time.
+_ORACLE_NAMES = {"GridDensity", "TestReport", "convolve_numeric",
+                 "exponentiality_test", "ks_critical", "ks_distance"}
+
+
+def __getattr__(name):
+    if name == "oracles" or name in _ORACLE_NAMES:
+        oracles = importlib.import_module(".oracles", __name__)
+        return oracles if name == "oracles" else getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BINOMIAL_CAP",

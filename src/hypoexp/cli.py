@@ -21,9 +21,7 @@ from . import (
     Series,
     binomial_weights,
     c_coefficients,
-    convolve_numeric,
     d_coefficients,
-    exponentiality_test,
     forward_solve_theorem1,
     forward_solve_theorem2,
     is_exponential_series,
@@ -98,6 +96,17 @@ def _read_reals(source: str, option: str) -> list[float]:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {value!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_USAGE; argparse's own 2 means EXIT_REJECT here."""
 
@@ -156,7 +165,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rates", required=True)
     p.add_argument("--K", type=int, default=12)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
 
     p = sub.add_parser(
         "coeffs", help="structural coefficients of the forward recursions"
@@ -164,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("c", "d"), required=True)
     p.add_argument("--scales", required=True)
     p.add_argument("--K", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
 
     p = sub.add_parser(
         "residual", help="residuals of a candidate series in either equation"
@@ -172,28 +181,28 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("h", "q"), required=True)
     p.add_argument("--psi", required=True, help="JSON array of series coefficients")
     p.add_argument("--scales", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
 
     p = sub.add_parser("solve", help="forward-solve the coefficient recursion")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--scales", required=True)
-    p.add_argument("--a1", type=float, default=1.0)
+    p.add_argument("--a1", type=_finite_float, default=1.0)
     p.add_argument("--K", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
 
     p = sub.add_parser(
         "oracle-convolve", help="compare the analytic density to convolution quadrature"
     )
     p.add_argument("--rates", required=True)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tmax", type=float, default=None)
+    p.add_argument("--step", type=_finite_float, default=1e-3)
+    p.add_argument("--tmax", type=_finite_float, default=None)
 
     p = sub.add_parser(
         "test-exponential", help="tuple-based exponentiality test on data"
     )
     p.add_argument("--data", required=True, help="path, '-' for stdin, or JSON array")
     p.add_argument("--scales", required=True)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=_finite_float, default=0.01)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
@@ -297,6 +306,7 @@ def _run(args) -> tuple[dict, int]:
         return payload, EXIT_OK
 
     if cmd == "oracle-convolve":
+        from .oracles import convolve_numeric
         rv = validate_rates(_read_reals(args.rates, "rates"))
         gd = convolve_numeric(rv, step=args.step, t_max=args.tmax)
         dist = HypoexpDistribution.from_rates(rv)
@@ -308,6 +318,7 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "test-exponential":
+        from .oracles import exponentiality_test
         mu = validate_scales(_read_reals(args.scales, "scales"))
         data = _read_reals(args.data, "data")
         report = exponentiality_test(data, mu, alpha=args.alpha, seed=args.seed)

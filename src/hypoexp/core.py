@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BinomialCapError,
@@ -30,11 +28,17 @@ from .errors import (
     WeightOverflowError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Default relative gap below which two rates are treated as tied.
 DISTINCTNESS_TOL = 1e-9
 
 #: Largest n for which binomial weights are produced as exact integers.
 BINOMIAL_CAP = 60
+
+#: Default seed of sampling and the exponentiality test, echoed in reports.
+DEFAULT_SEED = 20130915
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -101,13 +105,6 @@ class WeightVector:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def reconstruct(self) -> tuple[float, ...]:
-        """Rebuild weight values from sign and log-magnitude."""
-        return tuple(
-            s * math.exp(lm) if s != 0 else 0.0
-            for s, lm in zip(self.signs, self.log_magnitudes)
-        )
 
 
 def _validate(
@@ -230,7 +227,8 @@ class HypoexpDistribution:
 
     def pdf(self, x):
         """Density at x >= 0; accepts a scalar or an ndarray."""
-        if isinstance(x, np.ndarray):
+        np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
+        if np is not None and isinstance(x, np.ndarray):
             coeffs = np.asarray(self.weights.weights) * np.asarray(self.rates.rates)
             return np.maximum(self._mixture_many(x, coeffs), 0.0)
         x = float(x)
@@ -250,7 +248,8 @@ class HypoexpDistribution:
 
     def survival(self, x):
         """P(S > x); accepts a scalar or an ndarray."""
-        if isinstance(x, np.ndarray):
+        np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
+        if np is not None and isinstance(x, np.ndarray):
             values = self._mixture_many(x, np.asarray(self.weights.weights))
             return np.clip(values, 0.0, 1.0)
         x = float(x)
@@ -274,6 +273,7 @@ class HypoexpDistribution:
 
     def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x."""
+        import numpy as np
         if np.any(x < 0.0):
             raise ValueError(
                 f"x={float(x[x < 0.0][0])!r} outside support [0, inf)"
@@ -361,6 +361,7 @@ class HypoexpDistribution:
         """
         if count < 1:
             raise ValueError(f"count={count} must be >= 1")
+        import numpy as np
         rng = np.random.default_rng(seed)
         lam = np.asarray(self.rates.rates)
         u = 1.0 - rng.random((count, self.n))  # maps [0,1) onto (0,1]

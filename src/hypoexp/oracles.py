@@ -16,15 +16,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import HypoexpDistribution, RateVector, ScaleVector, validate_rates
+from .core import (
+    DEFAULT_SEED,
+    HypoexpDistribution,
+    RateVector,
+    ScaleVector,
+    validate_rates,
+)
 from .errors import (
     GridTooCoarseError,
     InsufficientDataError,
     NonPositiveObservationError,
 )
-
-#: Default fixed seed, echoed in reports for reproducibility.
-DEFAULT_SEED = 20130915
 
 #: Asymptotic KS critical constants c(alpha); threshold is c / sqrt(N).
 KS_CONSTANTS = {0.05: 1.36, 0.01: 1.63}

@@ -1,6 +1,10 @@
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,8 +202,6 @@ class TestOracleCommands:
         assert payload["verdict"] == "reject"
 
     def test_stdin_data(self, capsys, monkeypatch):
-        import io
-
         rng = np.random.default_rng(202)
         text = "\n".join(str(v) for v in rng.exponential(1.0, 500))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -290,8 +292,6 @@ class TestNonFiniteInput:
         assert err.startswith("error: --rates: non-finite value inf")
 
     def test_stdin_rejected(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("0.5\nnan\n1.5\n"))
         code, out, err = run(
             capsys, "test-exponential", "--data", "-", "--scales", "[1, 0.5]"
@@ -299,6 +299,121 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --data: non-finite value nan")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["solve", "--theorem", "1", "--scales", "[1, 0.5]", "--a1", "inf"], "--a1"),
+            (["solve", "--theorem", "1", "--scales", "[1, 0.5]", "--a1", "nan"], "--a1"),
+            (["residual", "--which", "h", "--scales", "[1, 0.5]",
+              "--psi", "[1, 1, 0]", "--tol", "nan"], "--tol"),
+            (["coeffs", "--which", "c", "--scales", "[1, 0.5]", "--tol=-inf"], "--tol"),
+            (["test-exponential", "--data", "[1, 2]", "--scales", "[1, 0.5]",
+              "--alpha", "nan"], "--alpha"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--tmax", "inf"], "--tmax"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--step", "nan"], "--step"),
+        ],
+    )
+    def test_float_option_rejected(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert f"argument {option}: non-finite value" in captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh(*args, stdin=None):
+    """Run a new interpreter with hypoexp from this checkout on its path."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+class TestFreshProcess:
+    """Start-up as a user sees it: numpy is loaded only where arrays are used."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--K", "8"], 0),
+            (["residual", "--which", "h", "--scales", "[1, 0.5]",
+              "--psi", "[1, 2, 2, 0]"], 2),
+            (["coeffs", "--which", "d", "--scales", "[1, 0.5, 0.25]"], 0),
+            (["pdf", "--rates", "[1, 2]", "--x", "[0.5, 1.0]"], 0),
+            (["quantile", "--rates", "[1, 2]", "--p", "[0.01, 0.5]"], 0),
+            (["weights", "--rates", "[1, 1]"], 1),
+        ],
+    )
+    def test_scalar_subcommands_import_no_numpy(self, capsys, argv, expected):
+        proc = fresh("-X", "importtime", "-m", "hypoexp.cli", *argv)
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "hypoexp.characterize" in imported
+        assert not [m for m in imported if m.split(".")[0] == "numpy"]
+        assert proc.returncode == expected
+        assert proc.stdout == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--rates", "[1, 2]", "--n", "20", "--seed", "3"],
+            ["oracle-convolve", "--rates", "[1, 2]", "--step", "0.002", "--tmax", "20"],
+            ["test-exponential", "--data", "-", "--scales", "[1, 0.5]"],
+        ],
+    )
+    def test_array_subcommands_same_output(self, capsys, monkeypatch, argv):
+        draws = np.random.default_rng(203).exponential(1.0, 300).tolist()
+        data = "\n".join(repr(v) for v in draws)
+        proc = fresh("-m", "hypoexp.cli", *argv, stdin=data)
+        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
+        json.loads(out)
+
+    @pytest.mark.parametrize(
+        "lookup", ["hypoexp.oracles.exponentiality_test", "hypoexp.exponentiality_test"]
+    )
+    def test_oracles_resolve_after_bare_import(self, lookup):
+        proc = fresh("-c", f"import hypoexp; print({lookup}.__module__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "hypoexp.oracles\n"
+
+    def test_star_import_binds_all(self):
+        code = (
+            "from hypoexp import *\n"
+            "import hypoexp\n"
+            "print([n for n in hypoexp.__all__ if n not in globals()])\n"
+            "print(hasattr(hypoexp, 'no_such_name'))\n"
+        )
+        proc = fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nFalse\n"
+
+    def test_array_evaluation_when_numpy_imported_later(self):
+        code = (
+            "import sys\n"
+            "import hypoexp\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import numpy as np\n"
+            "d = hypoexp.HypoexpDistribution.from_rates([1.0, 2.0, 4.0])\n"
+            "x = np.array([0.25, 1.0, 3.0])\n"
+            "for f in (d.pdf, d.cdf):\n"
+            "    y = f(x)\n"
+            "    assert isinstance(y, np.ndarray)\n"
+            "    assert np.allclose(y, [f(v) for v in x.tolist()], rtol=1e-13, atol=0)\n"
+        )
+        proc = fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
 
 
 def readme_examples() -> list[tuple[list[str], int]]:
