@@ -155,6 +155,11 @@ def _check_order(order: int) -> None:
         raise ValueError(f"truncation order {order!r} must be at least 1")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:
+        raise ValueError(f"tol={tol!r} must be non-negative")
+
+
 def c_coefficients(
     mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
 ) -> StructuralCoefficients:
@@ -164,6 +169,7 @@ def c_coefficients(
     k >= 2) and raises StructureViolationError when they fail.
     """
     _check_order(order)
+    _check_tol(tol)
     return _c_coefficients(mu, weights_from_scales(mu), order, tol)
 
 
@@ -197,6 +203,7 @@ def d_coefficients(
     Checks d_1 = 1 within tolerance and d_k > 0 for k >= 2.
     """
     _check_order(order)
+    _check_tol(tol)
     return _d_coefficients(mu, weights_from_scales(mu), order, tol)
 
 
@@ -230,6 +237,7 @@ def lemma2_check(
     hold at every order; the sweep reports all k <= order.
     """
     _check_order(order)
+    _check_tol(tol)
     weights = lagrange_weights(rates)
     lam = rates.rates
     w = weights.weights
@@ -310,6 +318,7 @@ def _leave_one_out(mu: ScaleVector) -> ScaledProducts:
 def _residual(
     psi: Series, mu: ScaleVector, survival: bool, tol: float
 ) -> ResidualReport:
+    _check_tol(tol)
     psi = _normalize(psi)
     mix = _mixture(mu, weights_from_scales(mu), survival)
     products = _leave_one_out(mu)
@@ -455,6 +464,7 @@ def forward_solve_theorem1(
     vanish; a near-zero divisor c_k signals numeric breakdown.
     """
     _check_order(order)
+    _check_tol(tol)
     if a1 <= 0.0:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
     weights = weights_from_scales(mu)
@@ -476,6 +486,7 @@ def forward_solve_theorem2(
     Returns the solved series, which must come out as (1, 1, 0, ..., 0).
     """
     _check_order(order)
+    _check_tol(tol)
     weights = weights_from_scales(mu)
     dks = _d_coefficients(mu, weights, order, tol)
     return _forward_solve(
@@ -493,6 +504,7 @@ def is_exponential_series(
     and the linear coefficient is positive; the all-zero tail with a_1 = 0
     is labeled degenerate (the zero random variable), not exponential.
     """
+    _check_tol(tol)
     psi = _normalize(psi)
     a1 = psi.coefficients[1] if psi.order >= 1 else 0.0
     tail_ok = all(

@@ -7,6 +7,9 @@ weighted sums of independent components for the sampling checks.
 equations computed the direct way, every leave-one-out product rebuilt from
 scratch by ``Series`` multiplication at every order; the incremental
 products in ``hypoexp.characterize`` must reproduce them bit for bit.
+``convolve_direct`` is the trapezoid convolution oracle by direct
+``np.convolve``, O(m^2) per stage; the FFT product in
+``hypoexp.oracles.convolve_numeric`` must match it to rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from hypoexp import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    GridDensity,
     ResidualReport,
     ScaleVector,
     Series,
@@ -225,3 +229,19 @@ def residual_by_rebuild(
         a1 = psi.coefficients[1]
         fitted = 1.0 / a1 if a1 > 0.0 else None
     return ResidualReport(psi.order, tuple(residuals), tol, verdict, violation, fitted)
+
+
+def convolve_direct(rates: Sequence[float], step: float, t_max: float) -> GridDensity:
+    """``convolve_numeric``'s grid and stages by direct convolution, no mass check."""
+    lam = tuple(float(r) for r in rates)
+    m = int(round(t_max / step)) + 1
+    grid = np.arange(m) * step
+    values = lam[0] * np.exp(-lam[0] * grid)
+    for rate in lam[1:]:
+        g = rate * np.exp(-rate * grid)
+        full = np.convolve(values, g)[:m]
+        # trapezoid endpoint correction of the convolution integral
+        full -= 0.5 * (values[0] * g + values * g[0])
+        values = step * full
+    values = np.maximum(values, 0.0)
+    return GridDensity(grid=grid, values=values, step=step)

@@ -340,6 +340,28 @@ class TestIncrementalProducts:
         ) == _outcome(lambda: solve_by_rebuild(mu, order))
 
 
+class TestNegativeTolerance:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tol: c_coefficients(MU2, 4, tol),
+            lambda tol: d_coefficients(MU2, 4, tol),
+            lambda tol: lemma2_check(validate_rates([1.0, 2.0]), 4, tol),
+            lambda tol: residual_h(exponential_series(1.0, 4), MU2, tol),
+            lambda tol: residual_q(exponential_series(1.0, 4), MU2, tol),
+            lambda tol: forward_solve_theorem1(MU2, 1.0, 4, tol),
+            lambda tol: forward_solve_theorem2(MU2, 4, tol),
+            lambda tol: is_exponential_series(exponential_series(1.0, 4), tol),
+        ],
+        ids=["c", "d", "lemma2", "residual_h", "residual_q", "theorem1",
+             "theorem2", "is_exponential"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="tol=-1e-12"):
+            call(-1e-12)
+        call(0.0)
+
+
 class TestIsExponentialSeries:
     def test_positive_case(self):
         verdict = is_exponential_series(

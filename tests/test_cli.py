@@ -266,6 +266,35 @@ class TestUsageErrors:
         assert "must be at least 1" in err
 
 
+class TestOutOfRangeOption:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["oracle-convolve", "--rates", "[1, 2]", "--step", "0"], "step"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--step=-0.001"], "step"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--tmax=-1"], "t_max"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--tmax", "0"], "t_max"),
+            (["test-exponential", "--data", "[1, 2]", "--scales", "[1, 0.5]",
+              "--alpha", "0"], "alpha"),
+            (["test-exponential", "--data", "[1, 2]", "--scales", "[1, 0.5]",
+              "--alpha", "1.5"], "alpha"),
+            (["test-exponential", "--data", "[1, 2]", "--scales", "[1, 0.5]",
+              "--alpha", "3"], "alpha"),
+            (["residual", "--which", "h", "--scales", "[1, 0.5]",
+              "--psi", "[1, 1, 0]", "--tol=-1"], "tol"),
+            (["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
+            (["coeffs", "--which", "d", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
+            (["verify-lemma2", "--rates", "[1, 2]", "--tol=-1"], "tol"),
+        ],
+    )
+    def test_exits_one_naming_option(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {name}=")
+        assert "Traceback" not in err
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, option",

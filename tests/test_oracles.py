@@ -15,7 +15,7 @@ from hypoexp.errors import (
     NonPositiveObservationError,
 )
 
-from reference import mc_weighted_sum
+from reference import convolve_direct, mc_weighted_sum
 
 MU2 = validate_scales([1.0, 0.5])
 
@@ -42,6 +42,52 @@ class TestConvolveNumeric:
     def test_coarse_grid_rejected(self):
         with pytest.raises(GridTooCoarseError):
             convolve_numeric([1.0, 2.0], step=0.5, t_max=20.0)
+
+    @pytest.mark.parametrize(
+        "rates, step, t_max",
+        [
+            # the benchmark's cases, at the default t_max
+            ((1.0, 2.0), 1e-3, None),
+            ((1.0, 2.0, 3.0), 1e-3, None),
+            ((1.0, 2.0, 3.0, 4.0), 6e-4, None),
+            # rates spread over a factor 40 on a short grid of odd length m
+            ((0.5, 3.0, 7.0, 20.0), 1e-4, 1.0),
+            # odd and even m
+            ((1.0, 2.0, 3.0), 1e-3, 0.5),
+            ((1.0, 2.0, 3.0), 1e-3, 0.501),
+            # the smallest grids: m = 2 and m = 3
+            ((1.0, 2.0), 1e-3, 1e-3),
+            ((1.0, 2.0, 3.0), 1e-3, 2e-3),
+        ],
+        ids=["r12", "r123", "r1234", "spread", "odd-m", "even-m", "m2", "m3"],
+    )
+    def test_matches_direct_convolution(self, rates, step, t_max):
+        gd = convolve_numeric(list(rates), step=step, t_max=t_max)
+        if t_max is None:
+            t_max = HypoexpDistribution.from_rates(list(rates)).quantile(1.0 - 1e-10)
+        direct = convolve_direct(rates, step, t_max)
+        assert np.array_equal(gd.grid, direct.grid)
+        peak = np.max(direct.values)
+        assert np.max(np.abs(gd.values - direct.values)) <= 1e-14 * peak
+
+    @pytest.mark.parametrize(
+        "step, t_max, name",
+        [
+            (0.0, 1.0, "step"),
+            (-1e-3, 1.0, "step"),
+            (float("nan"), 1.0, "step"),
+            (float("inf"), 1.0, "step"),
+            (1e-3, 0.0, "t_max"),
+            (1e-3, -1.0, "t_max"),
+            (1e-3, float("nan"), "t_max"),
+            (1e-3, float("inf"), "t_max"),
+            # one grid point: t_max below half a step
+            (1e-3, 4e-4, "t_max"),
+        ],
+    )
+    def test_grid_out_of_range_rejected(self, step, t_max, name):
+        with pytest.raises(ValueError, match=f"{name}="):
+            convolve_numeric([1.0, 2.0], step=step, t_max=t_max)
 
 
 class TestKsDistance:
@@ -71,6 +117,11 @@ class TestKsDistance:
         assert ks_critical(0.01, 100) == pytest.approx(0.163)
         # outside the table: asymptotic formula, close to the 1% constant
         assert ks_critical(0.01 + 1e-12, 100) == pytest.approx(0.163, rel=0.01)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 3.0, -0.05, float("nan")])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha="):
+            ks_critical(alpha, 100)
 
 
 def exp_sampler(rate):
@@ -143,6 +194,11 @@ class TestExponentialityTest:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             exponentiality_test([1.0] * 20, MU2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha="):
+            exponentiality_test([1.0] * 200, MU2, alpha=alpha)
 
     def test_report_serializes(self):
         rng = np.random.default_rng(103)
