@@ -7,28 +7,43 @@ product/mixture identity iff
     sum_j w_j * prod_{i != j} psi(mu_i t)  ==  1            (density form)
     sum_j (w_j / mu_j) * prod_{i != j} psi(mu_i t)  ==  -t  (survival form)
 
-as formal series.  This module computes the per-order residuals of both
-equations, the structural coefficients that make each order's equation linear
-in the highest unknown, and forward-solves those recursions to exhibit the
-unique (exponential) solution at truncation order.
+as formal series.  The weights reach C(32, 16) ~ 6e8 on harmonic scales at
+n = 32 and cancel, and they are not needed: with P(t) = prod_i psi(mu_i t) and
+b = 1/psi, each leave-one-out product is P(t) b(mu_j t), and
+sum_j w_j mu_j^k = h_k(mu), the complete homogeneous symmetric polynomial (a
+divided difference of x^(n-1+k) over the nodes mu; de Boor, "Divided
+differences", Surv. Approx. Theory 1, 2005).  So the two equations read
+
+    P(t) * sum_k b_k h_k(mu) t^k  ==  1                     (density form)
+    P(t) * sum_{k>=1} b_k h_{k-1}(mu) t^k  ==  -t           (survival form)
+
+with one product chain and no signed sums.  This module computes the
+per-order residuals of both equations, the structural coefficients
+c_k = p_k - h_k and d_k = h_{k-1} (p_k = sum_i mu_i^k) that make each order's
+equation linear in the highest unknown, and forward-solves those recursions
+to exhibit the unique (exponential) solution at truncation order.
+
+Reading residuals: the order-k residual is judged against tol times the
+largest term of that order.  When a_1 * max(mu) > 1 those terms grow like
+(a_1 * max(mu))^k and cancel, so even an exact 1 + a_1 t shows residuals of
+about 1e-16 * (a_1 * max(mu))^k; compare a residual with its order's term
+scale, not with 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     RateVector,
     ScaleVector,
-    WeightVector,
-    complete_homogeneous,
+    complete_homogeneous_table,
     lagrange_weights,
-    weights_from_scales,
 )
 from .errors import NotNormalizedError, StructureViolationError, ZeroDivisorError
-from .series import ScaledProducts, Series
+from .series import ScaledProducts, Series, product_of_scaled
 
 #: Default truncation order for solvers and residual sweeps.
 DEFAULT_ORDER = 16
@@ -81,9 +96,10 @@ class StructuralCoefficients:
     ``kind`` is "c" (density-form equation: c_1 = 0, c_k < 0 for k >= 2) or
     "d" (survival-form equation: d_1 = 1, d_k > 0 for k >= 2).
     ``values[k-1]`` holds the coefficient at order k; ``term_scales[k-1]``
-    records the largest term magnitude entering it, the natural reference
-    for "numerically zero" decisions (the coefficients themselves decay
-    geometrically when all scales are below one).
+    records the largest term magnitude entering it (max(p_k, h_k) for c,
+    h_{k-1} itself for d), the natural reference for "numerically zero"
+    decisions (the coefficients themselves decay geometrically when all
+    scales are below one).
     """
 
     kind: str
@@ -163,28 +179,23 @@ def _check_tol(tol: float) -> None:
 def c_coefficients(
     mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
 ) -> StructuralCoefficients:
-    """c_k = sum_i mu_i^k - sum_j w_j mu_j^k for k = 1..order.
+    """c_k = p_k - h_k(mu) = sum_i mu_i^k - sum_j w_j mu_j^k for k = 1..order.
 
     Checks the structural signs (c_1 = 0 within tolerance, c_k < 0 for
-    k >= 2) and raises StructureViolationError when they fail.
+    k >= 2) and raises StructureViolationError when they fail: both hold in
+    exact arithmetic, so a failure means p_k - h_k cancelled or underflowed.
     """
     _check_order(order)
     _check_tol(tol)
-    return _c_coefficients(mu, weights_from_scales(mu), order, tol)
-
-
-def _c_coefficients(
-    mu: ScaleVector, weights: WeightVector, order: int, tol: float
-) -> StructuralCoefficients:
+    h = complete_homogeneous_table(mu.scales, order)
     values = []
     scales = []
     for k in range(1, order + 1):
-        powers = [m**k for m in mu.scales]
-        weighted = [w * p for w, p in zip(weights.weights, powers)]
-        ck = math.fsum(powers) - math.fsum(weighted)
-        scale = max(max(powers), max(abs(t) for t in weighted))
+        pk = math.fsum(m**k for m in mu.scales)
+        ck = pk - h[k]
+        scale = max(pk, h[k])
         if k == 1:
-            if abs(ck) > tol * max(1.0, scale):
+            if not _scaled_ok(ck, scale, tol):
                 raise StructureViolationError(
                     f"c_1 = {ck!r} not zero within scaled tolerance {tol!r}"
                 )
@@ -198,34 +209,15 @@ def _c_coefficients(
 def d_coefficients(
     mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
 ) -> StructuralCoefficients:
-    """d_k = sum_j w_j mu_j^(k-1) for k = 1..order.
+    """d_k = h_{k-1}(mu) = sum_j w_j mu_j^(k-1) for k = 1..order.
 
-    Checks d_1 = 1 within tolerance and d_k > 0 for k >= 2.
+    d_1 = h_0 = 1 and d_k > 0 hold by construction, so ``tol`` is only
+    validated.
     """
     _check_order(order)
     _check_tol(tol)
-    return _d_coefficients(mu, weights_from_scales(mu), order, tol)
-
-
-def _d_coefficients(
-    mu: ScaleVector, weights: WeightVector, order: int, tol: float
-) -> StructuralCoefficients:
-    values = []
-    scales = []
-    for k in range(1, order + 1):
-        weighted = [w * m ** (k - 1) for w, m in zip(weights.weights, mu.scales)]
-        dk = math.fsum(weighted)
-        scale = max(abs(t) for t in weighted)
-        if k == 1:
-            if not _scaled_ok(dk - 1.0, scale, tol):
-                raise StructureViolationError(
-                    f"d_1 = {dk!r} not 1 within scaled tolerance {tol!r}"
-                )
-        elif dk <= 0.0:
-            raise StructureViolationError(f"d_{k} = {dk!r} is not positive")
-        values.append(dk)
-        scales.append(scale)
-    return StructuralCoefficients("d", tuple(values), tuple(scales))
+    h = tuple(complete_homogeneous_table(mu.scales, order - 1))
+    return StructuralCoefficients("d", h, h)
 
 
 def lemma2_check(
@@ -255,6 +247,7 @@ def lemma2_check(
 
     gaps = []
     symmetric_residuals = []
+    h = complete_homogeneous_table([1.0 / lj for lj in lam], order)
     for k in range(1, order + 1):
         terms = [wj / lj**k for wj, lj in zip(w, lam)]
         weighted = math.fsum(terms)
@@ -266,10 +259,9 @@ def lemma2_check(
             passed &= _scaled_ok(gap, scale, tol)
         else:
             passed &= gap > 0.0
-        hk = complete_homogeneous([1.0 / lj for lj in lam], k)
-        sym = weighted - hk
+        sym = weighted - h[k]
         symmetric_residuals.append(sym)
-        passed &= _scaled_ok(sym, max(scale, abs(hk)), tol)
+        passed &= _scaled_ok(sym, max(scale, abs(h[k])), tol)
 
     return Lemma2Report(
         order=order,
@@ -293,13 +285,6 @@ def _normalize(psi: Series) -> Series:
     return psi.scale_values(1.0 / a0)
 
 
-def _mixture(mu: ScaleVector, weights: WeightVector, survival: bool) -> list[float]:
-    """Mixture coefficients w_j (density form) or w_j / mu_j (survival form)."""
-    if survival:
-        return [w / m for w, m in zip(weights.weights, mu.scales)]
-    return list(weights.weights)
-
-
 def _target(k: int, survival: bool) -> float:
     """Order-k coefficient of the right-hand side, 1 (density) or -t (survival)."""
     if survival:
@@ -307,12 +292,37 @@ def _target(k: int, survival: bool) -> float:
     return 1.0 if k == 0 else 0.0
 
 
-def _leave_one_out(mu: ScaleVector) -> ScaledProducts:
-    """products[j] = prod_{i != j} psi(mu_i t), grown as psi's coefficients are."""
-    n = mu.n
-    return ScaledProducts(
-        mu.scales, [[i for i in range(n) if i != j] for j in range(n)]
-    )
+def _moments(mu: ScaleVector, order: int, survival: bool) -> list[float]:
+    """m_0..m_order with sum_j mix_j b(mu_j t) = sum_k b_k m_k t^k.
+
+    Density form, mix_j = w_j: m_k = h_k(mu).  Survival form, mix_j = w_j / mu_j:
+    m_k = h_{k-1}(mu) and m_0 = 0.
+    """
+    h = complete_homogeneous_table(mu.scales, order)
+    return [0.0] + h[:order] if survival else h
+
+
+def _order_terms(
+    product: Sequence[float], recip: Sequence[float], moments: Sequence[float], k: int
+) -> list[float]:
+    """Terms of the order-k coefficient of P(t) * sum_k b_k m_k t^k."""
+    return [product[i] * recip[k - i] * moments[k - i] for i in range(k + 1)]
+
+
+def _residual_terms(
+    psi: Series, mu: ScaleVector, survival: bool
+) -> tuple[list[float], list[float]]:
+    """Order-k residuals of a normalized psi and the largest term of each order."""
+    product = product_of_scaled(psi, mu).coefficients
+    recip = psi.reciprocal().coefficients
+    moments = _moments(mu, psi.order, survival)
+    residuals = []
+    scales = []
+    for k in range(psi.order + 1):
+        terms = _order_terms(product, recip, moments, k)
+        residuals.append(math.fsum(terms) - _target(k, survival))
+        scales.append(max(abs(t) for t in terms))
+    return residuals, scales
 
 
 def _residual(
@@ -320,16 +330,7 @@ def _residual(
 ) -> ResidualReport:
     _check_tol(tol)
     psi = _normalize(psi)
-    mix = _mixture(mu, weights_from_scales(mu), survival)
-    products = _leave_one_out(mu)
-    for a in psi.coefficients:
-        products.grow(a)
-    residuals = []
-    scales = []
-    for k in range(psi.order + 1):
-        terms = [c * p[k] for c, p in zip(mix, products.products)]
-        residuals.append(math.fsum(terms) - _target(k, survival))
-        scales.append(max(abs(t) for t in terms))
+    residuals, scales = _residual_terms(psi, mu, survival)
     violation = None
     fitted = None
     for k, (r, s) in enumerate(zip(residuals, scales)):
@@ -359,8 +360,9 @@ def residual_h(
 ) -> ResidualReport:
     """Residuals of the density-form equation sum_j w_j prod_{i!=j} psi(mu_i t) = 1.
 
-    psi is normalized to unit constant term first.  Residual order 0 is the
-    weight-sum defect; orders >= 1 must vanish for a solution.
+    Computed weight-free as P(t) * sum_k b_k h_k(mu) t^k - 1 (module
+    docstring).  psi is normalized to unit constant term first.  Residual
+    order 0 is the weight-sum defect; orders >= 1 must vanish for a solution.
     """
     return _residual(psi, mu, survival=False, tol=tol)
 
@@ -370,83 +372,59 @@ def residual_q(
 ) -> ResidualReport:
     """Residuals of the survival-form equation sum_j (w_j/mu_j) prod psi(mu_i t) = -t.
 
-    The order-k residual is the series coefficient minus the target -[k == 1].
+    Computed weight-free as P(t) * sum_{k>=1} b_k h_{k-1}(mu) t^k (module
+    docstring).  The order-k residual is the series coefficient minus the
+    target -[k == 1].
     """
     return _residual(psi, mu, survival=True, tol=tol)
 
 
-def _elementary_symmetric(values: Sequence[float], k: int) -> list[float]:
-    """Elementary symmetric polynomials e_0..e_k via the product recurrence."""
-    e = [1.0] + [0.0] * k
-    for v in values:
-        for d in range(min(k, len(values)), 0, -1):
-            e[d] += v * e[d - 1]
-    return e
-
-
-def _unit_block_check(
-    mu: ScaleVector, weights: WeightVector, a1: float, tol: float
-) -> Callable[[int], None]:
-    """check(k): the all-ones multi-index block of order k must cancel across j.
-
-    Its contribution is a1^k * sum_j w_j * e_k(mu with entry j removed),
-    which vanishes identically because sum_j w_j / mu_j = 0.  The e_k tables
-    are built once, to order n-1, the last order checked.
-    """
-    n = mu.n
-    tables = [
-        _elementary_symmetric(mu.scales[:j] + mu.scales[j + 1 :], n - 1)
-        for j in range(n)
-    ]
-
-    def check(k: int) -> None:
-        if not 2 <= k <= n - 1:
-            return
-        terms = [w * a1**k * e[k] for w, e in zip(weights.weights, tables)]
-        total = math.fsum(terms)
-        scale = max(abs(t) for t in terms)
-        if not _scaled_ok(total, scale, max(tol, 1e-11)):
-            raise StructureViolationError(
-                f"order-{k} all-ones block sums to {total!r}, expected cancellation"
-            )
-
-    return check
+def _next_reciprocal(coeffs: Sequence[float], recip: list[float]) -> None:
+    """Append b_k, k = len(recip), of b = 1/psi for psi with a_0 = 1."""
+    k = len(recip)
+    if k == 0:
+        recip.append(1.0)
+    else:
+        recip.append(-math.fsum(coeffs[i] * recip[k - i] for i in range(1, k + 1)))
 
 
 def _forward_solve(
     mu: ScaleVector,
-    mix: Sequence[float],
     divisors: StructuralCoefficients,
     coeffs: list[float],
     survival: bool,
-    check: Optional[Callable[[int], None]] = None,
 ) -> Series:
-    """Fill coeffs[k] from the first free order up; ``check(k)`` runs after each.
+    """Fill coeffs[k] from the first free order up.
 
     Order k reads remainder - s * L_k * a_k = target_k, the remainder being the
-    order-k coefficient at a_k = 0.  Survival form: s = +1, L = d, free from
+    order-k coefficient of P(t) * sum_k b_k m_k t^k at a_k = 0 (a_k enters
+    P_k as p_k a_k and b_k as -a_k).  Survival form: s = +1, L = d, free from
     order 1.  Density form: s = -1, L = c, free from order 2 (a_1 is given).
-    The leave-one-out products grow by one order per step: a_{k-1}, then a
-    trial a_k = 0 that is read and dropped again.
+    The product chain P and the reciprocal b grow by one order per step:
+    a_{k-1}, then a trial a_k = 0 that is read and dropped again.
     """
     sign = 1.0 if survival else -1.0
     first = 1 if survival else 2
-    products = _leave_one_out(mu)
+    moments = _moments(mu, len(coeffs) - 1, survival)
+    product = ScaledProducts(mu.scales)
+    recip: list[float] = []
     for a in coeffs[: first - 1]:
-        products.grow(a)
+        product.grow(a)
+        _next_reciprocal(coeffs, recip)
     for k in range(first, len(coeffs)):
-        products.grow(coeffs[k - 1])
-        products.grow(0.0)
-        remainder = math.fsum(c * p[k] for c, p in zip(mix, products.products))
-        products.undo()
+        product.grow(coeffs[k - 1])
+        _next_reciprocal(coeffs, recip)
+        product.grow(0.0)
+        _next_reciprocal(coeffs, recip)  # coeffs[k] is still 0
+        remainder = math.fsum(_order_terms(product.product, recip, moments, k))
+        product.undo()
+        recip.pop()
         lk = divisors.at(k)
         if abs(lk) <= 1e-13 * divisors.scale_at(k):
             raise ZeroDivisorError(
                 f"{divisors.kind}_{k} = {lk!r} is numerically zero"
             )
         coeffs[k] = (remainder - _target(k, survival)) / (sign * lk)
-        if check is not None:
-            check(k)
     return Series(tuple(coeffs))
 
 
@@ -467,13 +445,8 @@ def forward_solve_theorem1(
     _check_tol(tol)
     if a1 <= 0.0:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
-    weights = weights_from_scales(mu)
-    cks = _c_coefficients(mu, weights, order, tol)
     coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
-    return _forward_solve(
-        mu, weights.weights, cks, coeffs, survival=False,
-        check=_unit_block_check(mu, weights, a1, tol),
-    )
+    return _forward_solve(mu, c_coefficients(mu, order, tol), coeffs, survival=False)
 
 
 def forward_solve_theorem2(
@@ -487,12 +460,8 @@ def forward_solve_theorem2(
     """
     _check_order(order)
     _check_tol(tol)
-    weights = weights_from_scales(mu)
-    dks = _d_coefficients(mu, weights, order, tol)
-    return _forward_solve(
-        mu, _mixture(mu, weights, survival=True), dks, [1.0] + [0.0] * order,
-        survival=True,
-    )
+    coeffs = [1.0] + [0.0] * order
+    return _forward_solve(mu, d_coefficients(mu, order, tol), coeffs, survival=True)
 
 
 def is_exponential_series(

@@ -368,11 +368,12 @@ class HypoexpDistribution:
         return (-np.log(u) / lam).sum(axis=1)
 
 
-def complete_homogeneous(xs: Sequence[float], k: int) -> float:
-    """Complete homogeneous symmetric polynomial h_k(xs) by the prefix recurrence.
+def complete_homogeneous_table(xs: Sequence[float], k: int) -> list[float]:
+    """Complete homogeneous symmetric polynomials h_0..h_k(xs), prefix recurrence.
 
-    h_k over the first j variables satisfies
-    h_k(x_1..x_j) = h_k(x_1..x_{j-1}) + x_j * h_{k-1}(x_1..x_j), costing O(n*k).
+    h_d over the first j variables satisfies
+    h_d(x_1..x_j) = h_d(x_1..x_{j-1}) + x_j * h_{d-1}(x_1..x_j), costing O(n*k)
+    for the whole table.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -380,4 +381,9 @@ def complete_homogeneous(xs: Sequence[float], k: int) -> float:
     for x in xs:
         for d in range(1, k + 1):
             h[d] += x * h[d - 1]
-    return h[k]
+    return h
+
+
+def complete_homogeneous(xs: Sequence[float], k: int) -> float:
+    """h_k(xs), the last entry of ``complete_homogeneous_table(xs, k)``."""
+    return complete_homogeneous_table(xs, k)[k]

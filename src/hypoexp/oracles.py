@@ -120,10 +120,10 @@ def convolve_numeric(
     Independent of the signed-weight formula.  Each stage convolves on the
     m-point grid by a real FFT zero-padded to the first power of two at least
     2m - 1, so the circular product equals the linear one: O(m log m) per
-    stage.  ``step`` and ``t_max`` must be finite and positive and give at
-    least two grid points, else ValueError.  The grid must be fine enough
-    that the trapezoid mass matches the analytic cdf at the right endpoint to
-    1e-6; otherwise GridTooCoarseError is raised.
+    stage.  ``step`` and ``t_max`` must be finite and positive, with a finite
+    ratio t_max/step, and give at least two grid points, else ValueError.
+    The grid must be fine enough that the trapezoid mass matches the analytic
+    cdf at the right endpoint to 1e-6; otherwise GridTooCoarseError is raised.
     """
     if isinstance(rates, RateVector):
         lam = rates.rates
@@ -143,6 +143,10 @@ def convolve_numeric(
     for name, value in (("step", step), ("t_max", t_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name}={value!r} must be finite and positive")
+    if not math.isfinite(t_max / step):
+        raise ValueError(
+            f"step={step!r} is too small for t_max={t_max!r}: t_max/step is not finite"
+        )
     m = int(round(t_max / step)) + 1
     if m < 2:
         raise ValueError(

@@ -1,12 +1,12 @@
 """Truncated formal power series and scaled-product coefficient machinery.
 
 A Series holds coefficients a_0..a_K of a power series truncated at order K.
-Products of argument-scaled copies of one series, prod_i u(mu_i t), are the
-workhorse of the characterization equations.  ScaledProducts computes them
-as chained Cauchy products grown one order at a time: chains that start with
-the same scales share those stages, so the n leave-one-out products
-prod_{i != j} u(mu_i t) cost about n^2/2 Cauchy coefficients per order and
-O(n^2 K^2) in all to order K.
+The product of argument-scaled copies of one series, P(t) = prod_i u(mu_i t),
+is the workhorse of the characterization equations: each leave-one-out
+product prod_{i != j} u(mu_i t) is P(t) / u(mu_j t), so one product and the
+reciprocal of u carry both equations.  ScaledProducts computes P as a chain
+of Cauchy products grown one order at a time, n - 1 Cauchy coefficients per
+order and O(n K^2) in all to order K.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import ScaleVector
 from .errors import ZeroConstantTermError
@@ -88,60 +88,47 @@ class Series:
 
 
 class ScaledProducts:
-    """Chained products of argument-scaled copies of one series, order by order.
+    """prod_i u(scales[i] t) for a series u given one coefficient at a time.
 
-    ``chains[c]`` lists indices into ``scales``; ``products[c]`` holds the
-    coefficients of prod_{i in chains[c]} u(scales[i] t) for every order grown
-    so far.  Each chain multiplies its factors u(mu t) in the order listed,
-    each coefficient one math.fsum of a Cauchy sum, and chains with a common
-    leading run of indices share its stages.  Coefficient k of a product
-    depends only on a_0..a_k, so ``grow`` appends one order at a time and
-    ``undo`` drops the last one again.
+    The factors u(mu t) are multiplied in the order of ``scales``, one chain
+    of Cauchy products with each coefficient one math.fsum, and ``product``
+    holds the coefficients of the whole product grown so far.  Coefficient k
+    depends only on a_0..a_k, so ``grow`` appends one order to every stage
+    and ``undo`` drops it again; K orders cost O(n K^2).
     """
 
-    def __init__(self, scales: Sequence[float], chains: Iterable[Sequence[int]]):
+    def __init__(self, scales: Sequence[float]):
+        if not scales:
+            raise ValueError("need at least one scale")
         for m in scales:
             if m <= 0.0:
                 raise ValueError(f"scale mu={m!r} must be positive")
         self._scales = tuple(scales)
-        self._factors = [[] for _ in self._scales]
-        # (left, right, out): out[k] = sum_i left[i] * right[k - i]
-        self._stages: list[tuple[list[float], list[float], list[float]]] = []
-        shared: dict[tuple[int, ...], list[float]] = {}
-        self.products: list[list[float]] = []
-        for chain in chains:
-            if not chain:
-                raise ValueError("need at least one scale")
-            product = self._factors[chain[0]]
-            for end in range(2, len(chain) + 1):
-                prefix = tuple(chain[:end])
-                if prefix not in shared:
-                    out: list[float] = []
-                    self._stages.append((product, self._factors[chain[end - 1]], out))
-                    shared[prefix] = out
-                product = shared[prefix]
-            self.products.append(product)
+        self._factors: list[list[float]] = [[] for _ in self._scales]
+        # _partials[s] = the product of factors 0..s+1
+        self._partials: list[list[float]] = [[] for _ in self._scales[1:]]
+        self.product = (self._partials or self._factors)[-1]
 
     def grow(self, a: float) -> None:
-        """Append the next coefficient a of u to every factor and product."""
+        """Append the next coefficient a of u to every factor and partial product."""
         k = len(self._factors[0])
         for m, factor in zip(self._scales, self._factors):
             factor.append(a * m**k)
-        for left, right, out in self._stages:
+        left = self._factors[0]
+        for right, out in zip(self._factors[1:], self._partials):
             out.append(math.fsum(map(mul, left, reversed(right))))
+            left = out
 
     def undo(self) -> None:
         """Drop the last order grown."""
-        for factor in self._factors:
-            factor.pop()
-        for _, _, out in self._stages:
-            out.pop()
+        for coefficients in self._factors + self._partials:
+            coefficients.pop()
 
 
 def product_of_scaled(u: Series, mu: ScaleVector | Sequence[float]) -> Series:
     """Coefficients of prod_i u(mu_i t) by iterated Cauchy product."""
     scales = mu.scales if isinstance(mu, ScaleVector) else tuple(mu)
-    chain = ScaledProducts(scales, [range(len(scales))])
+    chain = ScaledProducts(scales)
     for a in u.coefficients:
         chain.grow(a)
-    return Series(tuple(chain.products[0]))
+    return Series(tuple(chain.product))

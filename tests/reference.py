@@ -4,9 +4,12 @@ Multi-index enumeration gives product coefficients independently of the
 Cauchy-product recursion in ``hypoexp.series``, and ``mc_weighted_sum`` draws
 weighted sums of independent components for the sampling checks.
 ``solve_by_rebuild`` and ``residual_by_rebuild`` are the characterization
-equations computed the direct way, every leave-one-out product rebuilt from
-scratch by ``Series`` multiplication at every order; the incremental
-products in ``hypoexp.characterize`` must reproduce them bit for bit.
+equations computed the direct way, in the signed-weight form with every
+leave-one-out product rebuilt from scratch by ``Series`` multiplication at
+every order; the weight-free form in ``hypoexp.characterize`` must give the
+same verdicts and the same solved coefficients to rounding.
+``structural_by_fractions`` gives c_k and d_k exactly from their weight-form
+definitions for rational scales.
 ``convolve_direct`` is the trapezoid convolution oracle by direct
 ``np.convolve``, O(m^2) per stage; the FFT product in
 ``hypoexp.oracles.convolve_numeric`` must match it to rounding.
@@ -15,6 +18,7 @@ products in ``hypoexp.characterize`` must reproduce them bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -202,15 +206,25 @@ def solve_by_rebuild(
     return tuple(coeffs)
 
 
+def _normalized(psi: Series) -> Series:
+    a0 = psi.coefficients[0]
+    return psi if a0 == 1.0 else psi.scale_values(1.0 / a0)
+
+
+def residual_terms_by_rebuild(
+    psi: Series, mu: ScaleVector, survival: bool
+) -> tuple[list[float], list[float]]:
+    """Per-order residuals of psi, normalized, and the largest term of each order."""
+    values, scales = _leave_one_out_sum(_normalized(psi), mu, _mixture(mu, survival))
+    return [v - _target(k, survival) for k, v in enumerate(values)], scales
+
+
 def residual_by_rebuild(
     psi: Series, mu: ScaleVector, survival: bool, tol: float = DEFAULT_TOL
 ) -> ResidualReport:
     """Residual report of the survival-form (q) or density-form (h) equation."""
-    a0 = psi.coefficients[0]
-    if a0 != 1.0:
-        psi = psi.scale_values(1.0 / a0)
-    values, scales = _leave_one_out_sum(psi, mu, _mixture(mu, survival))
-    residuals = [v - _target(k, survival) for k, v in enumerate(values)]
+    residuals, scales = residual_terms_by_rebuild(psi, mu, survival)
+    psi = _normalized(psi)
     violation = next(
         (
             k
@@ -245,3 +259,29 @@ def convolve_direct(rates: Sequence[float], step: float, t_max: float) -> GridDe
         values = step * full
     values = np.maximum(values, 0.0)
     return GridDensity(grid=grid, values=values, step=step)
+
+
+def structural_by_fractions(
+    scales: Sequence[Fraction], order: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact c_1..c_order and d_1..d_order of rational scales, by the weights.
+
+    w_j = prod_{i != j} mu_j / (mu_j - mu_i), c_k = sum_i mu_i^k - sum_j w_j mu_j^k
+    and d_k = sum_j w_j mu_j^(k-1), all in ``Fraction`` arithmetic.
+    """
+    weights = []
+    for j, mj in enumerate(scales):
+        w = Fraction(1)
+        for i, mi in enumerate(scales):
+            if i != j:
+                w *= mj / (mj - mi)
+        weights.append(w)
+    c = [
+        sum(m**k for m in scales) - sum(w * m**k for w, m in zip(weights, scales))
+        for k in range(1, order + 1)
+    ]
+    d = [
+        sum(w * m ** (k - 1) for w, m in zip(weights, scales))
+        for k in range(1, order + 1)
+    ]
+    return c, d

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,14 +22,23 @@ from hypoexp import (
     weights_from_scales,
 )
 from hypoexp.characterize import (
+    DEFAULT_TOL,
     VERDICT_COMPATIBLE,
     VERDICT_DEGENERATE,
     VERDICT_INCOMPATIBLE,
+    _normalize,
+    _residual_terms,
 )
 from hypoexp.errors import HypoexpError, NotNormalizedError
 
 from conftest import random_scales
-from reference import enumerate_compositions, residual_by_rebuild, solve_by_rebuild
+from reference import (
+    enumerate_compositions,
+    residual_by_rebuild,
+    residual_terms_by_rebuild,
+    solve_by_rebuild,
+    structural_by_fractions,
+)
 
 MU2 = validate_scales([1.0, 0.5])
 
@@ -304,27 +314,57 @@ candidate_series = st.integers(0, 10).flatmap(
 )
 
 
-def _outcome(thunk) -> str:
-    """repr of the result, exact for floats and signed zeros, or the error type."""
+def _outcome(thunk):
+    """The result, or the name of the error type raised."""
     try:
-        return repr(thunk())
+        return thunk()
     except (HypoexpError, ValueError) as exc:
         return type(exc).__name__
 
 
+def _assert_same_verdict(psi: Series, mu, survival: bool) -> None:
+    """Same verdict, first violation and error type as the weight-form rebuild.
+
+    The two forms judge order k against their own largest term, so a residual
+    that lies between the two scaled tolerances flags in one form only; at the
+    first order where the two disagree, both residuals must lie in that band.
+    """
+    fn = residual_q if survival else residual_h
+    got = _outcome(lambda: fn(psi, mu))
+    want = _outcome(lambda: residual_by_rebuild(psi, mu, survival))
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    if got.first_violation_k == want.first_violation_k:
+        assert got.verdict == want.verdict
+        return
+    k = min(v for v in (got.first_violation_k, want.first_violation_k) if v is not None)
+    residuals, scales = _residual_terms(_normalize(psi), mu, survival)
+    rebuilt, rebuilt_scales = residual_terms_by_rebuild(psi, mu, survival)
+    low, high = sorted(DEFAULT_TOL * max(1.0, s[k]) for s in (scales, rebuilt_scales))
+    rounding = 1e-13 * max(1.0, scales[k], rebuilt_scales[k])
+    for r in (residuals[k], rebuilt[k]):
+        assert low - rounding <= abs(r) <= high + rounding
+
+
 class TestIncrementalProducts:
-    """Solves and residuals equal the per-order rebuild of the products, bit for bit."""
+    """Solves and residuals agree with the weight-form rebuild of the products.
+
+    The weight-free form rounds differently, so the verdicts, first
+    violations and error types must be identical (up to the tolerance band
+    of ``_assert_same_verdict``) and the solved coefficients equal within
+    1e-9 * max(1, a_1^k).
+    """
 
     @given(scale_sets, candidate_series, st.floats(0.01, 10.0))
     @example([1.0, 0.5, 0.25, 0.125], [0.9241091008139, 0.5, 0.0, -0.0, 1.5], 1.0)
+    @example([2.0, 1.0], [1.0, 1.0, 1e-10], 1.0)
     @settings(max_examples=60, deadline=None)
     def test_matches_rebuilt_products(self, scales, coeffs, a1):
         mu = validate_scales(scales)
         psi = Series.from_coefficients(coeffs)
-        for fn, survival in ((residual_h, False), (residual_q, True)):
-            assert _outcome(lambda: fn(psi, mu).to_dict()) == _outcome(
-                lambda: residual_by_rebuild(psi, mu, survival).to_dict()
-            )
+        for survival in (False, True):
+            _assert_same_verdict(psi, mu, survival)
         order = psi.order
         if order < 1:
             with pytest.raises(ValueError):
@@ -332,12 +372,70 @@ class TestIncrementalProducts:
             with pytest.raises(ValueError):
                 forward_solve_theorem2(mu, order=order)
             return
-        assert _outcome(
-            lambda: forward_solve_theorem1(mu, a1, order=order).coefficients
-        ) == _outcome(lambda: solve_by_rebuild(mu, order, a1))
-        assert _outcome(
-            lambda: forward_solve_theorem2(mu, order=order).coefficients
-        ) == _outcome(lambda: solve_by_rebuild(mu, order))
+        for solved, rebuilt in (
+            (lambda: forward_solve_theorem1(mu, a1, order=order).coefficients,
+             lambda: solve_by_rebuild(mu, order, a1)),
+            (lambda: forward_solve_theorem2(mu, order=order).coefficients,
+             lambda: solve_by_rebuild(mu, order)),
+        ):
+            got, want = _outcome(solved), _outcome(rebuilt)
+            if isinstance(got, str) or isinstance(want, str):
+                assert got == want
+                continue
+            slope = abs(want[1])
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-9 * max(1.0, slope**k)
+
+
+def harmonic(n: int):
+    """mu_j = 1/j, j = 1..n: weights (-1)^(j-1) C(n, j), up to C(48, 24) ~ 3e13."""
+    return validate_scales([1.0 / j for j in range(1, n + 1)])
+
+
+class TestWeightFreeForm:
+    """Harmonic scales up to n = 48, where the signed weights cancel badly."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48])
+    def test_structural_coefficients_match_fractions(self, n):
+        order = 32
+        exact_c, exact_d = structural_by_fractions(
+            [Fraction(1, j) for j in range(1, n + 1)], order
+        )
+        mu = harmonic(n)
+        c = c_coefficients(mu, order).values
+        d = d_coefficients(mu, order).values
+        for k in range(1, order + 1):
+            # c_1 = 0 exactly: measure it against p_1 = sum mu_i instead
+            power_sum = sum(Fraction(1, j**k) for j in range(1, n + 1))
+            assert abs(c[k - 1] - exact_c[k - 1]) <= 1e-12 * max(
+                abs(exact_c[k - 1]), power_sum
+            )
+            assert abs(d[k - 1] - exact_d[k - 1]) <= 1e-12 * exact_d[k - 1]
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48])
+    def test_solved_tails(self, n):
+        mu = harmonic(n)
+        for a1 in (0.25, 1.0, 2.5):
+            solved = forward_solve_theorem1(mu, a1, order=32)
+            assert solved[1] == a1
+            for k, c in enumerate(solved.coefficients[2:], start=2):
+                assert abs(c) <= 1e-12 * max(1.0, a1**k)
+        solved = forward_solve_theorem2(mu, order=32)
+        assert solved[1] == pytest.approx(1.0, abs=1e-12)
+        assert all(abs(c) <= 1e-12 for c in solved.coefficients[2:])
+
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_detection_at_32(self, order):
+        mu = harmonic(32)
+        square = Series.from_coefficients([1.0, 2.0, 1.0] + [0.0] * (order - 2))
+        assert residual_q(square, mu).first_violation_k == 1
+        assert residual_h(square, mu).first_violation_k == 2
+        cubic = Series.from_coefficients([1.0, 1.0, 0.0, 0.01] + [0.0] * (order - 3))
+        assert residual_q(cubic, mu).first_violation_k == 3
+        assert residual_h(cubic, mu).first_violation_k == 3
+        exact = exponential_series(1.0, order)
+        for fn in (residual_h, residual_q):
+            assert fn(exact, mu).verdict == VERDICT_COMPATIBLE
 
 
 class TestNegativeTolerance:

@@ -285,6 +285,7 @@ class TestOutOfRangeOption:
             (["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
             (["coeffs", "--which", "d", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
             (["verify-lemma2", "--rates", "[1, 2]", "--tol=-1"], "tol"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--step", "1e-320"], "step"),
         ],
     )
     def test_exits_one_naming_option(self, capsys, argv, name):

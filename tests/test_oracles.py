@@ -83,6 +83,8 @@ class TestConvolveNumeric:
             (1e-3, float("inf"), "t_max"),
             # one grid point: t_max below half a step
             (1e-3, 4e-4, "t_max"),
+            # t_max/step overflows to infinity
+            (1e-320, 1.0, "step"),
         ],
     )
     def test_grid_out_of_range_rejected(self, step, t_max, name):
