@@ -9,6 +9,10 @@ where the signed mixture weights w_j = prod_{i != j} lambda_i / (lambda_i -
 lambda_j) sum to one and alternate in sign when the rates are sorted.  The
 alternating sum is prone to catastrophic cancellation, so weights are carried
 as sign + log-magnitude and sums of signed terms go through ``math.fsum``.
+
+Array evaluation and sampling run through their input in row blocks of about
+``_BLOCK_ENTRIES`` float64 entries, so memory grows with the block, not with
+the input, and the results equal the one-shot formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +49,21 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 #: Quantile bisection: target |cdf(x) - p| and the cap on halvings.
 _QUANTILE_TOL = 1e-13
 _QUANTILE_MAX_ITER = 500
+
+#: Array kernels work in row blocks of about this many float64 entries.
+_BLOCK_ENTRIES = 1 << 16
+
+#: exp(t) is exactly 0.0 for every t at or below this bound.
+_EXP_UNDERFLOW = -745.2
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block for n columns: a power of two, at least 1024.
+
+    A power of two keeps every block boundary on BLAS ``gemv``'s row
+    grouping, so blocked products equal one-shot products bit for bit.
+    """
+    return max(1024, 1 << ((_BLOCK_ENTRIES // n).bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -272,13 +291,37 @@ class HypoexpDistribution:
         return 1.0 - self.survival(x)
 
     def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x."""
+        """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x, 1-D, in float64.
+
+        Works through x in row blocks of ``_block_rows(n)`` points, so memory
+        grows with the block, not with x, and the result equals the one-shot
+        ``np.exp(-np.outer(x, lambda)) @ coeffs`` bit for bit, as one BLAS
+        thread computes it (a threaded ``gemv`` of a large one-shot product
+        splits its rows at a point set by the thread count).  A block with
+        an exponent at or below ``_EXP_UNDERFLOW`` skips those exponentials,
+        which are exactly 0.0; NaN lanes still reach ``exp``.
+        """
         import numpy as np
         if np.any(x < 0.0):
             raise ValueError(
                 f"x={float(x[x < 0.0][0])!r} outside support [0, inf)"
             )
-        return np.exp(-np.outer(x, np.asarray(self.rates.rates))) @ coeffs
+        x = np.asarray(x, dtype=float).ravel()  # the underflow bound is float64's
+        neg_lam = -np.asarray(self.rates.rates)
+        rows = _block_rows(self.n)
+        out = np.empty(x.size)
+        start = 0
+        while start < x.size:
+            # a lone last row would go through BLAS dot, not gemv, and round apart
+            stop = start + rows if x.size - start > rows + 1 else x.size
+            arg = np.multiply.outer(x[start:stop], neg_lam)
+            if arg.min() > _EXP_UNDERFLOW:
+                e = np.exp(arg, out=arg)
+            else:
+                e = np.exp(arg, out=np.zeros_like(arg), where=~(arg <= _EXP_UNDERFLOW))
+            np.dot(e, coeffs, out=out[start:stop])
+            start = stop
+        return out
 
     # -- transforms and moments ----------------------------------------------
 
@@ -357,15 +400,25 @@ class HypoexpDistribution:
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` values of the sum by inverse transform, deterministically.
 
-        Each component is -log(U)/lambda_i with U uniform on (0, 1].
+        Each component is -log(U)/lambda_i with U uniform on (0, 1].  Draws
+        are made in row blocks of ``_block_rows(n)``, which consume the
+        generator's stream in the same order as one (count, n) draw, so the
+        values equal the one-shot formula bit for bit.
         """
         if count < 1:
             raise ValueError(f"count={count} must be >= 1")
         import numpy as np
         rng = np.random.default_rng(seed)
-        lam = np.asarray(self.rates.rates)
-        u = 1.0 - rng.random((count, self.n))  # maps [0,1) onto (0,1]
-        return (-np.log(u) / lam).sum(axis=1)
+        neg_lam = -np.asarray(self.rates.rates)
+        rows = _block_rows(self.n)
+        out = np.empty(count)
+        for start in range(0, count, rows):
+            u = rng.random((min(rows, count - start), self.n))
+            np.subtract(1.0, u, out=u)  # maps [0,1) onto (0,1]
+            np.log(u, out=u)
+            u /= neg_lam  # log(u)/(-lambda) == -log(u)/lambda exactly
+            u.sum(axis=1, out=out[start:start + rows])
+        return out
 
 
 def complete_homogeneous_table(xs: Sequence[float], k: int) -> list[float]:

@@ -13,6 +13,9 @@ definitions for rational scales.
 ``convolve_direct`` is the trapezoid convolution oracle by direct
 ``np.convolve``, O(m^2) per stage; the FFT product in
 ``hypoexp.oracles.convolve_numeric`` must match it to rounding.
+``mixture_direct`` and ``sample_direct`` are the one-shot array formulas of
+``HypoexpDistribution``, with every temporary the size of the whole input;
+the blocked kernels must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -259,6 +262,21 @@ def convolve_direct(rates: Sequence[float], step: float, t_max: float) -> GridDe
         values = step * full
     values = np.maximum(values, 0.0)
     return GridDensity(grid=grid, values=values, step=step)
+
+
+def mixture_direct(
+    x: np.ndarray, rates: Sequence[float], coeffs: np.ndarray
+) -> np.ndarray:
+    """sum_j coeffs_j * exp(-rates_j * x) at every entry of x, in one shot."""
+    return np.exp(-np.outer(x, np.asarray(rates))) @ coeffs
+
+
+def sample_direct(rates: Sequence[float], count: int, seed: int) -> np.ndarray:
+    """``count`` sums of -log(U)/rate_i from one (count, n) uniform draw."""
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(rates)
+    u = 1.0 - rng.random((count, len(lam)))  # maps [0,1) onto (0,1]
+    return (-np.log(u) / lam).sum(axis=1)
 
 
 def structural_by_fractions(

@@ -286,6 +286,7 @@ class TestOutOfRangeOption:
             (["coeffs", "--which", "d", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
             (["verify-lemma2", "--rates", "[1, 2]", "--tol=-1"], "tol"),
             (["oracle-convolve", "--rates", "[1, 2]", "--step", "1e-320"], "step"),
+            (["oracle-convolve", "--rates", "[1, 2]", "--step", "1e-7"], "step"),
         ],
     )
     def test_exits_one_naming_option(self, capsys, argv, name):

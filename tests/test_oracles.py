@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hypoexp import (
     ks_distance,
     validate_scales,
 )
+from hypoexp import oracles
 from hypoexp.errors import (
     GridTooCoarseError,
     InsufficientDataError,
@@ -90,6 +93,31 @@ class TestConvolveNumeric:
     def test_grid_out_of_range_rejected(self, step, t_max, name):
         with pytest.raises(ValueError, match=f"{name}="):
             convolve_numeric([1.0, 2.0], step=step, t_max=t_max)
+
+    @pytest.mark.parametrize(
+        "rates, step, t_max",
+        [
+            ((1.0, 2.0), 1e-7, None),
+            ((1.0, 2.0), 1e-6, 2.0),
+            # slow rates: the default t_max is about 2.4e4
+            ((1e-3, 2e-3), 1e-3, None),
+        ],
+    )
+    def test_grid_above_cap_rejected(self, rates, step, t_max):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"step=.* t_max=.* m=\d+ grid points"):
+                convolve_numeric(list(rates), step=step, t_max=t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # nothing of the grid's size was allocated
+
+    def test_grid_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 1001)
+        assert convolve_numeric([1.0, 2.0], step=1e-3, t_max=1.0).grid.size == 1001
+        with pytest.raises(ValueError, match="m=1002 "):
+            convolve_numeric([1.0, 2.0], step=1e-3, t_max=1.001)
 
 
 class TestKsDistance:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import hypoexp
 from hypoexp import (
     HypoexpDistribution,
     binomial_weights,
@@ -16,6 +20,7 @@ from hypoexp import (
     validate_scales,
     weights_from_scales,
 )
+from hypoexp.core import _block_rows
 from hypoexp.errors import (
     BinomialCapError,
     NonPositiveRateError,
@@ -25,7 +30,8 @@ from hypoexp.errors import (
 )
 
 from conftest import MIN_RELATIVE_GAP, random_rates
-from reference import enumerate_compositions
+import reference
+from reference import enumerate_compositions, sample_direct
 
 
 @st.composite
@@ -329,3 +335,165 @@ class TestSampling:
     def test_bad_count(self, dist12):
         with pytest.raises(ValueError):
             dist12.sample(0, seed=0)
+
+
+#: Rate counts of the bit-identity tests.  At n = 3, 5, 24 and 48 the entry
+#: budget 65536 // n is not a power of two, so a kernel that blocked by it
+#: would split rows off BLAS's grouping.
+BLOCK_NS = (2, 3, 5, 8, 16, 24, 32, 48, 64)
+
+#: Child process that evaluates ``mixture_direct`` on every saved case.
+_ONE_SHOT_SCRIPT = """
+import sys
+import numpy as np
+from reference import mixture_direct
+z = np.load(sys.argv[1])
+ids = sorted({key.rsplit(".", 1)[0] for key in z.files})
+np.savez(sys.argv[2], **{
+    f"{i}.{form}": mixture_direct(z[f"{i}.x"], z[f"{i}.rates"], z[f"{i}.{form}"])
+    for i in ids for form in ("pdf", "sf")
+})
+"""
+
+
+def _spread_rates(rng, n):
+    """n rates from about 1e-3 to 1e3, one per log-uniform stratum with
+    jitter, so the adjacent gaps stay above 10% even at n = 64."""
+    edges = np.linspace(math.log(1e-3), math.log(1e3), n)
+    jitter = rng.uniform(-0.25, 0.25, n) * (edges[1] - edges[0])
+    return [float(r) for r in np.exp(edges + jitter)]
+
+
+def _block_grids(rates, size, rng):
+    """Grids of ``size`` points: the benchmark's grid (mean + 8 sd) sorted and
+    shuffled, one whose fastest-rate exponents cross the subnormal band
+    [-745.2, -708.4], and one where every exponent is below -800."""
+    mean = math.fsum(1.0 / r for r in rates)
+    sd = math.sqrt(math.fsum(1.0 / r**2 for r in rates))
+    grid = np.linspace(0.0, mean + 8.0 * sd, size)
+    return {
+        "sorted": grid,
+        "unsorted": rng.permutation(grid),
+        "subnormal": np.linspace(700.0, 760.0, size) / rates[-1],
+        "underflow": np.linspace(800.0, 1e4, size) / rates[0],
+    }
+
+
+@pytest.fixture(scope="module")
+def one_shot_cases(tmp_path_factory):
+    """(dist, x, one-shot pdf mixture, one-shot survival mixture) per case id.
+
+    The one-shot formula runs in a child process with one BLAS thread: a
+    threaded ``gemv`` splits one large product among threads at a row that
+    depends on the thread count, and rows near the split then differ in the
+    last bits from the single-threaded product.
+    """
+    rng = np.random.default_rng(9)
+    cases, saved = {}, {}
+    for n in BLOCK_NS:
+        dist = HypoexpDistribution.from_rates(_spread_rates(rng, n))
+        rates = np.asarray(dist.rates.rates)
+        block = _block_rows(n)
+        xs = {}
+        for size in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            for kind, x in _block_grids(rates, size, rng).items():
+                xs[f"n{n}-m{size}-{kind}"] = x
+        grid = _block_grids(rates, 3 * block + 6, rng)["sorted"]
+        xs[f"n{n}-2d"] = grid.reshape(3, -1)
+        xs[f"n{n}-0d"] = np.array(rates.sum())
+        for cid, x in xs.items():
+            cases[cid] = (dist, x)
+            saved[f"{cid}.x"] = x
+            saved[f"{cid}.rates"] = rates
+            saved[f"{cid}.pdf"] = np.asarray(dist.weights.weights) * rates
+            saved[f"{cid}.sf"] = np.asarray(dist.weights.weights)
+    tmp = tmp_path_factory.mktemp("one_shot")
+    np.savez(tmp / "cases.npz", **saved)
+    path = os.pathsep.join([
+        os.path.dirname(reference.__file__),
+        os.path.dirname(os.path.dirname(hypoexp.__file__)),
+    ])
+    threads = dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+    )
+    subprocess.run(
+        [sys.executable, "-c", _ONE_SHOT_SCRIPT, tmp / "cases.npz", tmp / "out.npz"],
+        env=dict(os.environ, PYTHONPATH=path, **threads), check=True, timeout=300,
+    )
+    out = np.load(tmp / "out.npz")
+    return {
+        cid: (dist, x, out[f"{cid}.pdf"], out[f"{cid}.sf"])
+        for cid, (dist, x) in cases.items()
+    }
+
+
+class TestBlockedKernels:
+    """Array evaluation and sampling in row blocks equal the one-shot formulas."""
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_array_evaluation_matches_one_shot(self, one_shot_cases, n):
+        for cid, (dist, x, pdf, sf) in one_shot_cases.items():
+            if not cid.startswith(f"n{n}-"):
+                continue
+            assert pdf.shape == sf.shape == (x.size,), cid
+            assert np.array_equal(dist.pdf(x), np.maximum(pdf, 0.0)), cid
+            survival = np.clip(sf, 0.0, 1.0)
+            assert np.array_equal(dist.survival(x), survival), cid
+            assert np.array_equal(dist.cdf(x), 1.0 - survival), cid
+
+    def test_other_dtypes_evaluate_in_float64(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0, 5.0])
+        x = np.linspace(0.0, 300.0, 5000)
+        for dtype in (np.float32, np.int64, np.longdouble):
+            xx = x.astype(dtype)
+            for fn in (dist.pdf, dist.survival, dist.cdf):
+                values = fn(xx)
+                assert values.dtype == np.float64
+                assert np.array_equal(values, fn(xx.astype(np.float64))), dtype
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_sample_matches_one_shot(self, n):
+        rates = _spread_rates(np.random.default_rng(n), n)
+        dist = HypoexpDistribution.from_rates(rates)
+        block = _block_rows(n)
+        for count in (1, block - 1, block + 1, 10**5):
+            draws = dist.sample(count, seed=count)
+            expected = sample_direct(dist.rates.rates, count, count)
+            assert np.array_equal(draws, expected), count
+
+    def test_block_rows(self):
+        for n in BLOCK_NS + (90, 1000):
+            rows = _block_rows(n)
+            assert rows >= 1024 and rows & (rows - 1) == 0, n
+            assert rows * n <= max(1 << 16, 1024 * n), n
+
+
+class TestNonFiniteArguments:
+    """Array and scalar evaluation agree on NaN (NaN out) and on +inf."""
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_nan_and_inf(self, n):
+        rates = _spread_rates(np.random.default_rng(n), n)
+        dist = HypoexpDistribution.from_rates(rates)
+        # NaN next to points whose exponentials underflow and points that do not
+        x = np.array([np.nan, np.inf, 0.5, 1e9, np.nan])
+        for values in (dist.pdf(x), dist.survival(x), dist.cdf(x)):
+            assert np.isnan(values[[0, 4]]).all()
+            assert not np.isnan(values[1:4]).any()
+        assert dist.pdf(x)[1] == 0.0 and dist.pdf(x)[3] == 0.0
+        assert dist.survival(x)[1] == 0.0
+        assert dist.cdf(x)[1] == 1.0
+        for fn in (dist.pdf, dist.survival, dist.cdf):
+            assert math.isnan(fn(math.nan))
+            assert np.isnan(fn(np.array([np.nan]))).all()
+            assert np.isnan(fn(np.full((2, 3000), np.nan))).all()
+        assert dist.pdf(math.inf) == 0.0
+        assert dist.survival(math.inf) == 0.0
+        assert dist.cdf(math.inf) == 1.0
+
+    def test_minus_inf_rejected(self, dist12):
+        for fn in (dist12.pdf, dist12.survival, dist12.cdf):
+            with pytest.raises(ValueError):
+                fn(-math.inf)
+            with pytest.raises(ValueError):
+                fn(np.array([1.0, -np.inf]))
