@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over one library call; JSON output prints
 reals with 17 significant digits so values round-trip bit-faithfully, and all
-defaults (truncation order, tolerance, seed) are echoed in the output.
+defaults (truncation order, tolerance, seed) are echoed in the output.  A
+result that overflows or is not a finite float exits 1 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _format_value(value) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"result {value!r} is not a finite float")
         return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
@@ -63,12 +66,10 @@ def _format_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(payload: dict, fmt: str) -> None:
+def _format(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        print(_format_value(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {_format_value(value)}")
+        return _format_value(payload)
+    return "\n".join(f"{key} = {_format_value(v)}" for key, v in payload.items())
 
 
 def _read_reals(source: str, option: str) -> list[float]:
@@ -334,10 +335,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _run(args)
-    except (HypoexpError, ValueError, OSError, json.JSONDecodeError) as exc:
+        text = _format(payload, args.format)
+    except (HypoexpError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, args.format)
+    print(text)
     return code
 
 

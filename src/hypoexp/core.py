@@ -8,11 +8,12 @@ Exp(lambda_n) with distinct rates has density
 where the signed mixture weights w_j = prod_{i != j} lambda_i / (lambda_i -
 lambda_j) sum to one and alternate in sign when the rates are sorted.  The
 alternating sum is prone to catastrophic cancellation, so weights are carried
-as sign + log-magnitude and sums of signed terms go through ``math.fsum``.
+as sign + log-magnitude.
 
-Array evaluation and sampling run through their input in row blocks of about
-``_BLOCK_ENTRIES`` float64 entries, so memory grows with the block, not with
-the input, and the results equal the one-shot formulas bit for bit.
+``pdf`` and ``survival`` (``cdf`` = 1 - ``survival``) keep one contract for a
+float and an ndarray.  A float is summed by ``math.fsum``, an ndarray by BLAS
+in row blocks of about ``_BLOCK_ENTRIES`` float64 entries, bit for bit the
+one-shot formula, so float and array results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ DEFAULT_SEED = 20130915
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-#: Quantile bisection: target |cdf(x) - p| and the cap on halvings.
+#: A signed sum below -_CANCELLATION_CLAMP times its largest term raises.
+_CANCELLATION_CLAMP = 1e-12
+
+#: Quantile bisection stops once |cdf(x) - p| is at most this.
 _QUANTILE_TOL = 1e-13
-_QUANTILE_MAX_ITER = 500
 
 #: Array kernels work in row blocks of about this many float64 entries.
 _BLOCK_ENTRIES = 1 << 16
@@ -245,52 +248,40 @@ class HypoexpDistribution:
     # -- pointwise evaluation -------------------------------------------------
 
     def pdf(self, x):
-        """Density at x >= 0; accepts a scalar or an ndarray."""
-        np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
-        if np is not None and isinstance(x, np.ndarray):
-            coeffs = np.asarray(self.weights.weights) * np.asarray(self.rates.rates)
-            return np.maximum(self._mixture_many(x, coeffs), 0.0)
-        x = float(x)
-        if x < 0.0:
-            raise ValueError(f"x={x!r} outside support [0, inf)")
-        terms = [
-            w * lam * math.exp(-lam * x)
-            for w, lam in zip(self.weights.weights, self.rates.rates)
-        ]
-        value = math.fsum(terms)
-        clamp = 1e-12 * max(abs(t) for t in terms)
-        if value < -clamp:
-            raise NegativeDensityError(
-                f"pdf({x}) = {value!r} below the cancellation clamp -{clamp!r}"
-            )
-        return max(value, 0.0)
+        """Density at x >= 0; accepts a float or an ndarray."""
+        coeffs = [w * lam for w, lam in zip(self.weights.weights, self.rates.rates)]
+        return self._mixture(x, coeffs, math.inf, "pdf")
 
     def survival(self, x):
-        """P(S > x); accepts a scalar or an ndarray."""
+        """P(S > x); accepts a float or an ndarray."""
+        return self._mixture(x, self.weights.weights, 1.0, "survival")
+
+    def cdf(self, x):
+        """P(S <= x) = 1 - survival(x); accepts a float or an ndarray."""
+        return 1.0 - self.survival(x)
+
+    def _mixture(self, x, coeffs: Sequence[float], upper: float, name: str):
+        """sum_j coeffs_j * exp(-lambda_j * x) clipped into [0, upper], for x >= 0.
+
+        NaN gives NaN, an ndarray a flat array.  A sum below
+        -``_CANCELLATION_CLAMP`` times its largest term raises NegativeDensityError.
+        """
         np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
         if np is not None and isinstance(x, np.ndarray):
-            values = self._mixture_many(x, np.asarray(self.weights.weights))
-            return np.clip(values, 0.0, 1.0)
+            if np.any(x < 0.0):
+                raise ValueError(f"x={float(x[x < 0.0][0])!r} outside support [0, inf)")
+            return np.clip(self._mixture_many(x, np.asarray(coeffs), name), 0.0, upper)
         x = float(x)
         if x < 0.0:
             raise ValueError(f"x={x!r} outside support [0, inf)")
-        terms = [
-            w * math.exp(-lam * x)
-            for w, lam in zip(self.weights.weights, self.rates.rates)
-        ]
+        terms = [c * math.exp(-lam * x) for c, lam in zip(coeffs, self.rates.rates)]
         value = math.fsum(terms)
-        clamp = 1e-12 * max(abs(t) for t in terms)
+        clamp = _CANCELLATION_CLAMP * max(abs(t) for t in terms)
         if value < -clamp:
-            raise NegativeDensityError(
-                f"survival({x}) = {value!r} below the cancellation clamp"
-            )
-        return min(max(value, 0.0), 1.0)
+            raise _cancelled(name, x, value, clamp)
+        return min(max(value, 0.0), upper)
 
-    def cdf(self, x):
-        """P(S <= x) = 1 - survival(x); accepts a scalar or an ndarray."""
-        return 1.0 - self.survival(x)
-
-    def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray, name: str) -> np.ndarray:
         """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x, 1-D, in float64.
 
         Works through x in row blocks of ``_block_rows(n)`` points, so memory
@@ -302,10 +293,6 @@ class HypoexpDistribution:
         which are exactly 0.0; NaN lanes still reach ``exp``.
         """
         import numpy as np
-        if np.any(x < 0.0):
-            raise ValueError(
-                f"x={float(x[x < 0.0][0])!r} outside support [0, inf)"
-            )
         x = np.asarray(x, dtype=float).ravel()  # the underflow bound is float64's
         neg_lam = -np.asarray(self.rates.rates)
         rows = _block_rows(self.n)
@@ -319,7 +306,14 @@ class HypoexpDistribution:
                 e = np.exp(arg, out=arg)
             else:
                 e = np.exp(arg, out=np.zeros_like(arg), where=~(arg <= _EXP_UNDERFLOW))
-            np.dot(e, coeffs, out=out[start:stop])
+            values = np.dot(e, coeffs, out=out[start:stop])
+            if np.fmin.reduce(values) < 0.0:  # only then the clamp; fmin skips NaN
+                neg = np.flatnonzero(values < 0.0)
+                clamp = _CANCELLATION_CLAMP * np.abs(e[neg] * coeffs).max(axis=1)
+                bad = values[neg] < -clamp
+                if bad.any():
+                    i = bad.argmax()
+                    raise _cancelled(name, x[start + neg[i]], values[neg[i]], clamp[i])
             start = stop
         return out
 
@@ -369,20 +363,22 @@ class HypoexpDistribution:
     # -- inverse cdf and sampling --------------------------------------------
 
     def quantile(self, p: float) -> float:
-        """Inverse cdf by bracketing bisection; |cdf(quantile(p)) - p| <= 1e-13."""
+        """Inverse cdf by bisection to |cdf(x) - p| <= 1e-13, or below 0.5 to a
+        bracket 1e-16 wide; NonConvergenceError if the bracket collapses first."""
         p = float(p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"p={p!r} must lie in (0, 1)")
         upper = self.mean()
-        doublings = 0
-        while self.cdf(upper) <= p:
+        while self.cdf(upper) <= p:  # stops at inf, where cdf is 1, if not before
             upper *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise NonConvergenceError(f"no bracket found for p={p!r}")
         lower = 0.0
-        for _ in range(_QUANTILE_MAX_ITER):
+        while True:
             mid = 0.5 * (lower + upper)
+            if not lower < mid < upper:
+                raise NonConvergenceError(
+                    f"bisection for p={p!r} stopped at [{lower!r}, {upper!r}]:"
+                    f" cdf there misses p by more than {_QUANTILE_TOL!r}"
+                )
             c = self.cdf(mid)
             if abs(c - p) <= _QUANTILE_TOL:
                 return mid
@@ -390,12 +386,8 @@ class HypoexpDistribution:
                 lower = mid
             else:
                 upper = mid
-            if upper - lower <= 1e-16 * max(1.0, upper):
+            if upper - lower <= 1e-16:  # 1e-16 exceeds one ulp only below 0.5
                 return 0.5 * (lower + upper)
-        raise NonConvergenceError(
-            f"bisection did not converge for p={p!r}"
-            f" after {_QUANTILE_MAX_ITER} iterations"
-        )
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` values of the sum by inverse transform, deterministically.
@@ -419,6 +411,12 @@ class HypoexpDistribution:
             u /= neg_lam  # log(u)/(-lambda) == -log(u)/lambda exactly
             u.sum(axis=1, out=out[start:start + rows])
         return out
+
+
+def _cancelled(name: str, x: float, value: float, clamp: float) -> NegativeDensityError:
+    return NegativeDensityError(  # str, not repr: np.float64 reads like float
+        f"{name}({x}) = {value} below the cancellation clamp -{clamp}"
+    )
 
 
 def complete_homogeneous_table(xs: Sequence[float], k: int) -> list[float]:

@@ -30,7 +30,7 @@ class NegativeDensityError(HypoexpError):
 
 
 class NonConvergenceError(HypoexpError):
-    """Quantile bisection failed to converge within the iteration cap."""
+    """Quantile bisection stalled before cdf came within tolerance of p."""
 
 
 class ZeroConstantTermError(HypoexpError):

@@ -16,6 +16,9 @@ definitions for rational scales.
 ``mixture_direct`` and ``sample_direct`` are the one-shot array formulas of
 ``HypoexpDistribution``, with every temporary the size of the whole input;
 the blocked kernels must match them bit for bit.
+``quantile_capped`` is the earlier ``HypoexpDistribution.quantile``, with its
+200-doubling cap, 500-halving cap and width stop; wherever it returns a value
+the bisection without caps must return the same float.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from hypoexp import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     GridDensity,
+    HypoexpDistribution,
     ResidualReport,
     ScaleVector,
     Series,
@@ -42,7 +46,12 @@ from hypoexp.characterize import (
     VERDICT_DEGENERATE,
     VERDICT_INCOMPATIBLE,
 )
-from hypoexp.errors import HypoexpError, StructureViolationError, ZeroDivisorError
+from hypoexp.errors import (
+    HypoexpError,
+    NonConvergenceError,
+    StructureViolationError,
+    ZeroDivisorError,
+)
 
 #: Hard cap on the number of multi-indices an enumeration may produce.
 COMPOSITION_BUDGET = 10**7
@@ -277,6 +286,35 @@ def sample_direct(rates: Sequence[float], count: int, seed: int) -> np.ndarray:
     lam = np.asarray(rates)
     u = 1.0 - rng.random((count, len(lam)))  # maps [0,1) onto (0,1]
     return (-np.log(u) / lam).sum(axis=1)
+
+
+def quantile_capped(dist: HypoexpDistribution, p: float) -> float:
+    """Inverse cdf by bisection with a doubling cap, a halving cap and a width stop."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p={p!r} must lie in (0, 1)")
+    upper = dist.mean()
+    doublings = 0
+    while dist.cdf(upper) <= p:
+        upper *= 2.0
+        doublings += 1
+        if doublings > 200:
+            raise NonConvergenceError(f"no bracket found for p={p!r}")
+    lower = 0.0
+    for _ in range(500):
+        mid = 0.5 * (lower + upper)
+        c = dist.cdf(mid)
+        if abs(c - p) <= 1e-13:
+            return mid
+        if c < p:
+            lower = mid
+        else:
+            upper = mid
+        if upper - lower <= 1e-16 * max(1.0, upper):
+            return 0.5 * (lower + upper)
+    raise NonConvergenceError(
+        f"bisection did not converge for p={p!r} after 500 iterations"
+    )
 
 
 def structural_by_fractions(

@@ -297,6 +297,29 @@ class TestOutOfRangeOption:
         assert "Traceback" not in err
 
 
+class TestUnrepresentableResult:
+    """Overflow, division by zero and non-finite results exit 1 with empty stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--rates", "[1, 2]", "--k", "200"],
+            ["moments", "--rates", "[1e-200, 2e-200]", "--k", "1"],
+            ["coeffs", "--which", "c", "--scales", "[1e200, 1e100]", "--K", "3"],
+            ["solve", "--theorem", "2", "--scales", "[1e200, 1e100]", "--K", "3"],
+            ["verify-lemma2", "--rates", "[1e-200, 1e-100]", "--K", "3"],
+            ["moments", "--rates", "[1e-3, 2e-3]", "--k", "120"],
+            ["coeffs", "--which", "d", "--scales", "[1e200, 1e100]", "--K", "3"],
+        ],
+    )
+    def test_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, option",

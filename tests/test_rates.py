@@ -23,6 +23,8 @@ from hypoexp import (
 from hypoexp.core import _block_rows
 from hypoexp.errors import (
     BinomialCapError,
+    NegativeDensityError,
+    NonConvergenceError,
     NonPositiveRateError,
     NotDistinctError,
     TooFewRatesError,
@@ -31,7 +33,7 @@ from hypoexp.errors import (
 
 from conftest import MIN_RELATIVE_GAP, random_rates
 import reference
-from reference import enumerate_compositions, sample_direct
+from reference import enumerate_compositions, quantile_capped, sample_direct
 
 
 @st.composite
@@ -297,6 +299,15 @@ class TestMoments:
             dist12.moment(0)
 
 
+#: Probabilities of the benchmark's quantile grid, and 1 - 1e-10, the default
+#: upper end of ``convolve_numeric``'s grid.
+QUANTILE_PS = (
+    1e-6, 1e-4, 1e-2, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-10,
+)
+#: Probabilities at which rates 1.05**k, k = 0..15, stall the bisection.
+F2_PS = (0.01, 0.1, 0.5, 0.9)
+
+
 class TestQuantile:
     def test_round_trip(self, dist12):
         p = dist12.cdf(1.0)
@@ -314,6 +325,47 @@ class TestQuantile:
             dist12.quantile(0.0)
         with pytest.raises(ValueError):
             dist12.quantile(1.0)
+
+    @given(
+        rate_lists(max_n=16),
+        st.one_of(
+            st.sampled_from(QUANTILE_PS),
+            st.floats(1e-12, 1.0 - 1e-12),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_capped_bisection(self, rates, p):
+        dist = HypoexpDistribution.from_rates(rates)
+        try:
+            expected = quantile_capped(dist, p)
+        except NonConvergenceError:
+            return
+        assert dist.quantile(p).hex() == expected.hex()
+
+    @pytest.mark.parametrize("scale", (100.0, 1000.0))
+    @pytest.mark.parametrize("p", F2_PS + (1 - 1e-10,))
+    def test_width_stop_below_half(self, scale, p):
+        # F2's rates scaled up: the quantiles lie below 0.5, where the bracket
+        # reaches 1e-16 before it collapses and the bisection returns there
+        dist = HypoexpDistribution.from_rates([scale * 1.05**k for k in range(16)])
+        assert dist.quantile(p).hex() == quantile_capped(dist, p).hex()
+
+    @pytest.mark.parametrize("p", F2_PS)
+    def test_stalled_bisection_stops_early(self, monkeypatch, p):
+        # rates 1.05**k: the cdf misses p by more than 1e-13 where the bracket
+        # collapses, about 55 halvings from [0, mean], and the bisection stops there
+        dist = HypoexpDistribution.from_rates([1.05**k for k in range(16)])
+        calls = []
+        cdf = HypoexpDistribution.cdf
+
+        def counted(self, x):
+            calls.append(x)
+            return cdf(self, x)
+
+        monkeypatch.setattr(HypoexpDistribution, "cdf", counted)
+        with pytest.raises(NonConvergenceError):
+            dist.quantile(p)
+        assert len(calls) <= 70
 
 
 class TestSampling:
@@ -497,3 +549,32 @@ class TestNonFiniteArguments:
                 fn(-math.inf)
             with pytest.raises(ValueError):
                 fn(np.array([1.0, -np.inf]))
+
+
+#: Rates 1.0001**k, k = 0..5: their signed mixtures sum to about -1e-305 from
+#: x = 729.5 to 740, far below the clamp -1e-12 * max|term|.
+CANCELLING_RATES = [1.0001**k for k in range(6)]
+
+
+class TestEvaluationContract:
+    """Float and array evaluation raise on the same cancelled sums."""
+
+    @pytest.mark.parametrize("x", [729.5, 731.0, 735.0, 740.0])
+    def test_cancelled_sum_raises(self, x):
+        dist = HypoexpDistribution.from_rates(CANCELLING_RATES)
+        for fn in (dist.pdf, dist.survival, dist.cdf):
+            for arg in (x, np.array([x]), np.array([1.0, np.nan, x, 2.0])):
+                with pytest.raises(NegativeDensityError):
+                    fn(arg)
+
+    def test_past_the_cancellation_evaluates(self):
+        dist = HypoexpDistribution.from_rates(CANCELLING_RATES)
+        for fn in (dist.pdf, dist.survival, dist.cdf):
+            value = fn(744.0)
+            assert 0.0 <= value <= 1.0
+            assert fn(np.array([744.0]))[0] == pytest.approx(value, rel=1e-6)
+
+    def test_random_rates_gives_up(self):
+        # 20 rates in [1, 2] cannot keep adjacent gaps of 5%
+        with pytest.raises(RuntimeError, match=r"n=20 rates in \[1.0, 2.0\]"):
+            random_rates(np.random.default_rng(0), 20, low=1.0, high=2.0)
