@@ -41,9 +41,10 @@ from .core import (
     ScaleVector,
     complete_homogeneous_table,
     lagrange_weights,
+    report_dict,
 )
 from .errors import NotNormalizedError, StructureViolationError, ZeroDivisorError
-from .series import ScaledProducts, Series, product_of_scaled
+from .series import ScaledProducts, Series, append_reciprocal, product_of_scaled
 
 #: Default truncation order for solvers and residual sweeps.
 DEFAULT_ORDER = 16
@@ -77,15 +78,9 @@ class ResidualReport:
         return self.verdict != VERDICT_INCOMPATIBLE
 
     def to_dict(self) -> dict:
-        out = {
-            "order": self.order,
-            "residuals": list(self.residuals),
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "first_violation_k": self.first_violation_k,
-        }
-        if self.fitted_lambda is not None:
-            out["fitted_lambda"] = self.fitted_lambda
+        out = report_dict(self)
+        if self.fitted_lambda is None:
+            del out["fitted_lambda"]
         return out
 
 
@@ -134,16 +129,7 @@ class Lemma2Report:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "weight_sum_residual": self.weight_sum_residual,
-            "power_sum_residuals": list(self.power_sum_residuals),
-            "reciprocal_gaps": list(self.reciprocal_gaps),
-            "symmetric_residuals": list(self.symmetric_residuals),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+    to_dict = report_dict
 
 
 @dataclass(frozen=True)
@@ -154,12 +140,7 @@ class ExponentialVerdict:
     fitted_lambda: Optional[float]
     degenerate: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "is_exponential": self.is_exponential,
-            "fitted_lambda": self.fitted_lambda,
-            "degenerate": self.degenerate,
-        }
+    to_dict = report_dict
 
 
 def _scaled_ok(value: float, scale: float, tol: float) -> bool:
@@ -282,7 +263,7 @@ def _normalize(psi: Series) -> Series:
         )
     if a0 == 1.0:
         return psi
-    return psi.scale_values(1.0 / a0)
+    return Series(tuple(c * (1.0 / a0) for c in psi.coefficients))
 
 
 def _target(k: int, survival: bool) -> float:
@@ -379,15 +360,6 @@ def residual_q(
     return _residual(psi, mu, survival=True, tol=tol)
 
 
-def _next_reciprocal(coeffs: Sequence[float], recip: list[float]) -> None:
-    """Append b_k, k = len(recip), of b = 1/psi for psi with a_0 = 1."""
-    k = len(recip)
-    if k == 0:
-        recip.append(1.0)
-    else:
-        recip.append(-math.fsum(coeffs[i] * recip[k - i] for i in range(1, k + 1)))
-
-
 def _forward_solve(
     mu: ScaleVector,
     divisors: StructuralCoefficients,
@@ -410,12 +382,12 @@ def _forward_solve(
     recip: list[float] = []
     for a in coeffs[: first - 1]:
         product.grow(a)
-        _next_reciprocal(coeffs, recip)
+        append_reciprocal(coeffs, recip)
     for k in range(first, len(coeffs)):
         product.grow(coeffs[k - 1])
-        _next_reciprocal(coeffs, recip)
+        append_reciprocal(coeffs, recip)
         product.grow(0.0)
-        _next_reciprocal(coeffs, recip)  # coeffs[k] is still 0
+        append_reciprocal(coeffs, recip)  # coeffs[k] is still 0
         remainder = math.fsum(_order_terms(product.product, recip, moments, k))
         product.undo()
         recip.pop()

@@ -23,6 +23,7 @@ from .core import (
     HypoexpDistribution,
     RateVector,
     ScaleVector,
+    report_dict,
     validate_rates,
 )
 from .errors import (
@@ -75,17 +76,7 @@ class TestReport:
     def rejected(self) -> bool:
         return self.verdict == "reject"
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "alpha": self.alpha,
-            "n_observations": self.n_observations,
-            "n_tuples": self.n_tuples,
-            "fitted_lambda": self.fitted_lambda,
-            "seed": self.seed,
-            "verdict": self.verdict,
-        }
+    to_dict = report_dict
 
 
 def _check_alpha(alpha: float) -> None:
@@ -144,7 +135,7 @@ def convolve_numeric(
         if t_max is None:
             t_max = -math.log(1e-10) / lam[0]
     else:
-        dist = HypoexpDistribution.from_rates(RateVector(lam, tuple(range(len(lam)))))
+        dist = HypoexpDistribution.from_rates(RateVector(lam))
         right_mass = dist.cdf
         if t_max is None:
             t_max = dist.quantile(1.0 - 1e-10)

@@ -41,16 +41,6 @@ class Series:
     def from_coefficients(cls, coeffs: Sequence[float]) -> "Series":
         return cls(tuple(float(c) for c in coeffs))
 
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        """Multiplicative identity 1 + 0t + ... truncated at ``order``."""
-        return cls((1.0,) + (0.0,) * order)
-
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return Series(self.coefficients + (0.0,) * (order - self.order))
-        return Series(self.coefficients[: order + 1])
-
     def __mul__(self, other: "Series") -> "Series":
         """Cauchy product at the common truncation order."""
         if self.order != other.order:
@@ -69,22 +59,19 @@ class Series:
         a = self.coefficients
         if a[0] == 0.0:
             raise ZeroConstantTermError("reciprocal needs a nonzero constant term")
-        b = [1.0 / a[0]] + [0.0] * self.order
-        for k in range(1, self.order + 1):
-            b[k] = -math.fsum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0]
+        b: list[float] = []
+        for _ in a:
+            append_reciprocal(a, b)
         return Series(tuple(b))
 
-    def scale_arg(self, mu: float) -> "Series":
-        """Argument substitution t -> mu*t: coefficient k becomes a_k * mu^k."""
-        if mu <= 0.0:
-            raise ValueError(f"scale mu={mu!r} must be positive")
-        return Series(
-            tuple(c * mu**k for k, c in enumerate(self.coefficients))
-        )
 
-    def scale_values(self, factor: float) -> "Series":
-        """Multiply every coefficient by a constant."""
-        return Series(tuple(c * factor for c in self.coefficients))
+def append_reciprocal(a: Sequence[float], b: list[float]) -> None:
+    """Append b_k, k = len(b), of b = 1/a; reads a_0..a_k and needs a_0 != 0."""
+    k = len(b)
+    if k == 0:
+        b.append(1.0 / a[0])
+    else:
+        b.append(-math.fsum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0])
 
 
 class ScaledProducts:

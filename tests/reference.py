@@ -141,9 +141,10 @@ def _scaled_ok(value: float, scale: float, tol: float) -> bool:
 
 def _product_by_chain(u: Series, scales: Sequence[float]) -> Series:
     """prod_i u(mu_i t) as successive Series products, in scale order."""
-    out = u.scale_arg(scales[0])
-    for m in scales[1:]:
-        out = out * u.scale_arg(m)
+    scaled = [Series(tuple(c * m**k for k, c in enumerate(u.coefficients))) for m in scales]
+    out = scaled[0]
+    for factor in scaled[1:]:
+        out = out * factor
     return out
 
 
@@ -220,7 +221,7 @@ def solve_by_rebuild(
 
 def _normalized(psi: Series) -> Series:
     a0 = psi.coefficients[0]
-    return psi if a0 == 1.0 else psi.scale_values(1.0 / a0)
+    return psi if a0 == 1.0 else Series(tuple(c * (1.0 / a0) for c in psi.coefficients))
 
 
 def residual_terms_by_rebuild(

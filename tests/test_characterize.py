@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypoexp import (
+    ExponentialVerdict,
+    Lemma2Report,
+    ResidualReport,
     Series,
     c_coefficients,
     complete_homogeneous,
@@ -21,6 +24,7 @@ from hypoexp import (
     validate_scales,
     weights_from_scales,
 )
+from hypoexp import oracles
 from hypoexp.characterize import (
     DEFAULT_TOL,
     VERDICT_COMPATIBLE,
@@ -132,7 +136,7 @@ class TestResidualH:
         assert report.residuals[2] == pytest.approx(-0.5, rel=1e-13)
 
     def test_degenerate_constant_one(self):
-        psi = Series.one(10)
+        psi = Series.from_coefficients([1.0] + [0.0] * 10)
         report = residual_h(psi, MU2)
         assert report.verdict == VERDICT_DEGENERATE
         assert all(r == pytest.approx(0.0, abs=1e-14) for r in report.residuals)
@@ -482,7 +486,7 @@ class TestIsExponentialSeries:
         assert not verdict.degenerate
 
     def test_degenerate(self):
-        verdict = is_exponential_series(Series.one(6))
+        verdict = is_exponential_series(Series.from_coefficients([1.0] + [0.0] * 6))
         assert not verdict.is_exponential
         assert verdict.degenerate
 
@@ -503,3 +507,32 @@ class TestConsistencyWithDistribution:
                 assert dist.laplace(float(t), "mixture") == pytest.approx(
                     dist.laplace(float(t), "product"), rel=1e-10
                 )
+
+
+def test_report_dicts_keep_their_layout():
+    # key order and list-typed sequences as the CLI prints them
+    residual = ResidualReport(2, (0.0, 1e-17, -2e-17), 1e-10, VERDICT_COMPATIBLE, None, 4.0)
+    assert list(residual.to_dict().items()) == [
+        ("order", 2), ("residuals", [0.0, 1e-17, -2e-17]), ("tolerance", 1e-10),
+        ("verdict", VERDICT_COMPATIBLE), ("first_violation_k", None), ("fitted_lambda", 4.0),
+    ]
+    violated = ResidualReport(1, (0.0, 0.5), 1e-10, VERDICT_INCOMPATIBLE, 1)
+    assert list(violated.to_dict().items()) == [
+        ("order", 1), ("residuals", [0.0, 0.5]), ("tolerance", 1e-10),
+        ("verdict", VERDICT_INCOMPATIBLE), ("first_violation_k", 1),
+    ]
+    lemma2 = Lemma2Report(2, 1e-16, (2e-16,), (0.0, 0.25), (1e-17, -1e-17), 1e-10, True)
+    assert list(lemma2.to_dict().items()) == [
+        ("order", 2), ("weight_sum_residual", 1e-16), ("power_sum_residuals", [2e-16]),
+        ("reciprocal_gaps", [0.0, 0.25]), ("symmetric_residuals", [1e-17, -1e-17]),
+        ("tolerance", 1e-10), ("passed", True),
+    ]
+    verdict = ExponentialVerdict(True, 2.0, False)
+    assert list(verdict.to_dict().items()) == [
+        ("is_exponential", True), ("fitted_lambda", 2.0), ("degenerate", False),
+    ]
+    test = oracles.TestReport(0.01, 0.02, 0.01, 100, 50, 1.5, 7, "consistent")
+    assert list(test.to_dict().items()) == [
+        ("statistic", 0.01), ("threshold", 0.02), ("alpha", 0.01), ("n_observations", 100),
+        ("n_tuples", 50), ("fitted_lambda", 1.5), ("seed", 7), ("verdict", "consistent"),
+    ]

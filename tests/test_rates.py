@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -69,7 +70,6 @@ class TestValidation:
     def test_sorting_and_round_trip(self):
         rv = validate_rates([3.0, 1.0, 2.0])
         assert rv.rates == (1.0, 2.0, 3.0)
-        assert rv.original_order() == (3.0, 1.0, 2.0)
 
     def test_scales_sorted_descending(self):
         sv = validate_scales([0.5, 1.0, 0.25])
@@ -77,7 +77,41 @@ class TestValidation:
         assert sv.to_rates().rates == (1.0, 2.0, 4.0)
 
 
+def mp_weights(rates) -> list:
+    """w_j = prod_{i != j} lambda_i / (lambda_i - lambda_j) at 60 digits."""
+    with mpmath.workdps(60):
+        lam = [mpmath.mpf(r) for r in rates]
+        return [
+            mpmath.fprod(li / (li - lj) for i, li in enumerate(lam) if i != j)
+            for j, lj in enumerate(lam)
+        ]
+
+
+#: Rates on which each weight is a product of factors of mixed size.
+WEIGHT_CASES = {
+    "harmonic-32": [float(k) for k in range(1, 33)],
+    "seeded-32": random_rates(np.random.default_rng(32), 32, low=1e-3, high=1e3),
+    "cluster-1.0001": [1.0001**k for k in range(6)],
+}
+
+
 class TestWeights:
+    @pytest.mark.parametrize("rates", WEIGHT_CASES.values(), ids=WEIGHT_CASES.keys())
+    def test_matches_mpmath(self, rates):
+        w = lagrange_weights(validate_rates(rates))
+        with mpmath.workdps(60):
+            for got, exact in zip(w.weights, mp_weights(rates)):
+                assert abs((got - exact) / exact) <= 2e-15
+
+    def test_log_magnitude_of_underflowed_weight(self):
+        rates = [1e-200, 1e-150, 1.0]
+        w = lagrange_weights(validate_rates(rates))
+        assert w.weights[2] == 0.0 and w.signs[2] == 1
+        with mpmath.workdps(60):
+            exact = float(mpmath.log(abs(mp_weights(rates)[2])))
+        assert exact == pytest.approx(-805.9, abs=0.05)
+        assert w.log_magnitudes[2] == pytest.approx(exact, rel=1e-15)
+
     def test_two_rates(self):
         w = lagrange_weights(validate_rates([1.0, 2.0]))
         assert w.weights == (2.0, -1.0)
@@ -304,7 +338,8 @@ class TestMoments:
 QUANTILE_PS = (
     1e-6, 1e-4, 1e-2, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-10,
 )
-#: Probabilities at which rates 1.05**k, k = 0..15, stall the bisection.
+#: Probabilities at which rates 1.05**k, k = 0..15, stalled the bisection; with
+#: the weights accurate to a few ulps the first three still do, 0.9 converges.
 F2_PS = (0.01, 0.1, 0.5, 0.9)
 
 
@@ -350,7 +385,7 @@ class TestQuantile:
         dist = HypoexpDistribution.from_rates([scale * 1.05**k for k in range(16)])
         assert dist.quantile(p).hex() == quantile_capped(dist, p).hex()
 
-    @pytest.mark.parametrize("p", F2_PS)
+    @pytest.mark.parametrize("p", F2_PS[:3])
     def test_stalled_bisection_stops_early(self, monkeypatch, p):
         # rates 1.05**k: the cdf misses p by more than 1e-13 where the bracket
         # collapses, about 55 halvings from [0, mean], and the bisection stops there
@@ -366,6 +401,19 @@ class TestQuantile:
         with pytest.raises(NonConvergenceError):
             dist.quantile(p)
         assert len(calls) <= 70
+
+
+    def test_converges_to_mpmath_root(self):
+        # p = 0.9, the last of F2_PS: there the cdf misses the mpmath cdf by
+        # less than the 1e-13 stop, so the bisection converges
+        rates = [1.05**k for k in range(16)]
+        x = HypoexpDistribution.from_rates(rates).quantile(0.9)
+        with mpmath.workdps(60):
+            pairs = list(zip(mp_weights(rates), rates))
+            root = mpmath.findroot(
+                lambda t: 1 - mpmath.fsum(w * mpmath.exp(-lam * t) for w, lam in pairs) - 0.9, x
+            )
+            assert abs((x - root) / root) <= 1e-12
 
 
 class TestSampling:
