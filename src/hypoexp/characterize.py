@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     RateVector,
     ScaleVector,
+    check_tol,
     complete_homogeneous_table,
     lagrange_weights,
     report_dict,
@@ -152,9 +153,23 @@ def _check_order(order: int) -> None:
         raise ValueError(f"truncation order {order!r} must be at least 1")
 
 
-def _check_tol(tol: float) -> None:
-    if not tol >= 0.0:
-        raise ValueError(f"tol={tol!r} must be non-negative")
+def _terms(
+    make: Callable[[], list[float]], name: str, k: int
+) -> tuple[list[float], float]:
+    """``make()``'s terms and their largest magnitude.
+
+    Raises OverflowError naming ``name``^k when a term leaves the float
+    range: a power beyond it raises in ``**``, one that underflows to 0.0
+    raises ZeroDivisionError in a reciprocal, and a subnormal one gives inf.
+    """
+    try:
+        terms = make()
+    except (OverflowError, ZeroDivisionError):
+        terms = [math.inf]
+    scale = max(abs(t) for t in terms)
+    if scale == math.inf:
+        raise OverflowError(f"Lemma 2 term {name}^{k} is beyond the float range")
+    return terms, scale
 
 
 def c_coefficients(
@@ -167,12 +182,17 @@ def c_coefficients(
     exact arithmetic, so a failure means p_k - h_k cancelled or underflowed.
     """
     _check_order(order)
-    _check_tol(tol)
+    check_tol(tol)
     h = complete_homogeneous_table(mu.scales, order)
     values = []
     scales = []
     for k in range(1, order + 1):
-        pk = math.fsum(m**k for m in mu.scales)
+        try:
+            pk = math.fsum(m**k for m in mu.scales)
+        except OverflowError:
+            raise OverflowError(
+                f"power sum p_{k} of the scales is beyond the float range"
+            ) from None
         ck = pk - h[k]
         scale = max(pk, h[k])
         if k == 1:
@@ -196,7 +216,7 @@ def d_coefficients(
     validated.
     """
     _check_order(order)
-    _check_tol(tol)
+    check_tol(tol)
     h = tuple(complete_homogeneous_table(mu.scales, order - 1))
     return StructuralCoefficients("d", h, h)
 
@@ -210,7 +230,7 @@ def lemma2_check(
     hold at every order; the sweep reports all k <= order.
     """
     _check_order(order)
-    _check_tol(tol)
+    check_tol(tol)
     weights = lagrange_weights(rates)
     lam = rates.rates
     w = weights.weights
@@ -221,21 +241,25 @@ def lemma2_check(
 
     power_residuals = []
     for k in range(1, n):
-        terms = [wj * lj**k for wj, lj in zip(w, lam)]
+        terms, scale = _terms(
+            lambda: [wj * lj**k for wj, lj in zip(w, lam)], "w_j * lambda_j", k
+        )
         r = math.fsum(terms)
         power_residuals.append(r)
-        passed &= _scaled_ok(r, max(abs(t) for t in terms), tol)
+        passed &= _scaled_ok(r, scale, tol)
 
     gaps = []
     symmetric_residuals = []
     h = complete_homogeneous_table([1.0 / lj for lj in lam], order)
     for k in range(1, order + 1):
-        terms = [wj / lj**k for wj, lj in zip(w, lam)]
+        # w_1 >= 1 at the smallest rate, so 1 / lambda_j^k is finite when these are.
+        terms, scale = _terms(
+            lambda: [wj / lj**k for wj, lj in zip(w, lam)], "w_j / lambda_j", k
+        )
         weighted = math.fsum(terms)
         plain = math.fsum(1.0 / lj**k for lj in lam)
         gap = weighted - plain
         gaps.append(gap)
-        scale = max(abs(t) for t in terms)
         if k == 1:
             passed &= _scaled_ok(gap, scale, tol)
         else:
@@ -309,7 +333,7 @@ def _residual_terms(
 def _residual(
     psi: Series, mu: ScaleVector, survival: bool, tol: float
 ) -> ResidualReport:
-    _check_tol(tol)
+    check_tol(tol)
     psi = _normalize(psi)
     residuals, scales = _residual_terms(psi, mu, survival)
     violation = None
@@ -414,7 +438,7 @@ def forward_solve_theorem1(
     vanish; a near-zero divisor c_k signals numeric breakdown.
     """
     _check_order(order)
-    _check_tol(tol)
+    check_tol(tol)
     if a1 <= 0.0:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
     coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
@@ -431,7 +455,7 @@ def forward_solve_theorem2(
     Returns the solved series, which must come out as (1, 1, 0, ..., 0).
     """
     _check_order(order)
-    _check_tol(tol)
+    check_tol(tol)
     coeffs = [1.0] + [0.0] * order
     return _forward_solve(mu, d_coefficients(mu, order, tol), coeffs, survival=True)
 
@@ -445,7 +469,7 @@ def is_exponential_series(
     and the linear coefficient is positive; the all-zero tail with a_1 = 0
     is labeled degenerate (the zero random variable), not exponential.
     """
-    _check_tol(tol)
+    check_tol(tol)
     psi = _normalize(psi)
     a1 = psi.coefficients[1] if psi.order >= 1 else 0.0
     tail_ok = all(

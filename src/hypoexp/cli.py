@@ -4,11 +4,16 @@ Every subcommand is a thin adapter over one library call; JSON output prints
 reals with 17 significant digits so values round-trip bit-faithfully, and all
 defaults (truncation order, tolerance, seed) are echoed in the output.  A
 result that overflows or is not a finite float exits 1 with nothing on stdout.
+
+``main(argv)`` may be called any number of times in one process: the parser
+is built on the first call and reused by every later one, so ``import
+hypoexp.cli`` builds nothing and a repeated call pays only for its own work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -116,6 +121,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hypoexp",

@@ -126,10 +126,20 @@ def report_dict(report) -> dict:
     }
 
 
+def check_tol(tol: float) -> None:
+    """ValueError naming ``tol`` unless it is non-negative (NaN included)."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol={tol!r} must be non-negative")
+
+
 def _validate(
     raw: Sequence[float], tol: float, noun: str, descending: bool
 ) -> tuple[float, ...]:
-    """Positive, finite, pairwise distinct values, sorted."""
+    """Positive, finite, pairwise distinct values, sorted.
+
+    Equal values are rejected at any ``tol``, also at ``tol=0``.
+    """
+    check_tol(tol)
     values = [float(v) for v in raw]
     if len(values) < 2:
         raise TooFewRatesError(f"need at least 2 {noun}s, got {len(values)}")
@@ -142,6 +152,8 @@ def _validate(
             raise NotDistinctError(
                 f"{noun}s {a!r} and {b!r} closer than relative tolerance {tol!r}"
             )
+        if a == b:
+            raise NotDistinctError(f"{noun}s {a!r} and {b!r} are equal")
     return tuple(ordered)
 
 
@@ -150,7 +162,8 @@ def validate_rates(
 ) -> RateVector:
     """Validate raw rates: positive, finite, pairwise distinct; sort ascending.
 
-    Raises TooFewRatesError, NonPositiveRateError, or NotDistinctError.
+    Raises TooFewRatesError, NonPositiveRateError, or NotDistinctError, and
+    ValueError for a negative or NaN ``tol``.
     """
     return RateVector(_validate(raw, tol, "rate", descending=False))
 
@@ -349,7 +362,13 @@ class HypoexpDistribution:
         hk = complete_homogeneous(
             [1.0 / lam for lam in self.rates.rates], k
         )
-        return math.factorial(k) * hk
+        try:
+            value = math.factorial(k) * hk
+        except OverflowError:  # k! alone is beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"moment of order {k} is beyond the float range")
+        return value
 
     def mean(self) -> float:
         return self.moment(1)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -10,8 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypoexp import HypoexpDistribution, lagrange_weights, validate_rates
-from hypoexp.cli import main
+from hypoexp import (
+    DEFAULT_ORDER,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
+    HypoexpDistribution,
+    lagrange_weights,
+    validate_rates,
+)
+from hypoexp.cli import _parser, main
 
 
 def run(capsys, *argv):
@@ -320,6 +328,26 @@ class TestUnrepresentableResult:
         assert "Traceback" not in err
 
 
+class TestArithmeticErrorNamed:
+    """An overflow names the quantity and its order; exit 1, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["moments", "--rates", "[1e-200, 2e-200]", "--k", "1"],
+             "moment of order 2 is beyond the float range"),
+            (["coeffs", "--which", "c", "--scales", "[1e200, 1e100]", "--K", "3"],
+             "power sum p_2 of the scales is beyond the float range"),
+            (["verify-lemma2", "--rates", "[1e-200, 1e-100]", "--K", "3"],
+             "Lemma 2 term w_j / lambda_j^2 is beyond the float range"),
+            (["moments", "--rates", "[1, 2]", "--k", "200"],
+             "moment of order 200 is beyond the float range"),
+        ],
+    )
+    def test_message_names_quantity(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, option",
@@ -468,6 +496,69 @@ class TestFreshProcess:
         )
         proc = fresh("-c", code)
         assert proc.returncode == 0, proc.stderr
+
+
+def _in_process(capsys, argv):
+    """``main(argv)`` as (exit code, stdout, stderr), usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """Repeated in-process calls share one parser and behave like fresh processes."""
+
+    SEQUENCE = [
+        (["sample", "--rates", "[1, 2]", "--n", "4", "--seed", "3"], 0),
+        (["sample", "--rates", "[1, 2]", "--n", "4"], 0),
+        (["--format", "table", "coeffs", "--which", "c", "--scales", "[1, 0.5]",
+          "--K", "3"], 0),
+        (["coeffs", "--which", "c", "--scales", "[1, 0.5]", "--K", "3"], 0),
+        (["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--K", "8",
+          "--tol", "1e-6"], 0),
+        (["solve", "--theorem", "2", "--scales", "[1, 0.5]"], 0),
+        (["moments", "--rates", "[1, 2]"], 1),
+        (["--help"], 0),
+    ]
+
+    def test_parser_built_once(self, capsys):
+        run(capsys, "coeffs", "--which", "d", "--scales", "[1, 0.5]")
+        run(capsys, "weights", "--binomial", "3")
+        assert _parser() is _parser()
+
+    def test_import_builds_no_parser(self):
+        proc = fresh("-c", "import hypoexp.cli as c; print(c._parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        results = [_in_process(capsys, argv) for argv, _ in self.SEQUENCE]
+        for (argv, expected), (code, out, err) in zip(self.SEQUENCE, results):
+            proc = fresh("-m", "hypoexp.cli", *argv)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            assert code == expected, argv
+        assert json.loads(results[1][1])["config"]["seed"] == DEFAULT_SEED
+        assert "which = \"c\"" in results[2][1]
+        assert json.loads(results[3][1])["which"] == "c"
+        assert json.loads(results[4][1])["config"] == {"K": 8, "tol": 1e-6, "theorem": 2}
+        assert json.loads(results[5][1])["config"] == {
+            "K": DEFAULT_ORDER, "tol": DEFAULT_TOL, "theorem": 2}
+        assert results[6][2].startswith("usage: hypoexp moments")
+        assert results[7][1].startswith("usage: hypoexp")
+
+    def test_usage_error_writes_to_current_stderr(self, capsys):
+        assert run(capsys, "weights", "--binomial", "3")[0] == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["moments", "--rates", "[1, 2]"])
+        assert exc.value.code == 1
+        assert err.getvalue().startswith("usage: hypoexp moments")
+        assert "the following arguments are required: --k" in err.getvalue()
+        assert capsys.readouterr().err == ""
 
 
 def readme_examples() -> list[tuple[list[str], int]]:

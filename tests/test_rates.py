@@ -59,6 +59,22 @@ class TestValidation:
         with pytest.raises(NotDistinctError):
             validate_rates([2.0, 2.0 + 1e-15], tol=1e-9)
 
+    @pytest.mark.parametrize("validate", [validate_rates, validate_scales])
+    @pytest.mark.parametrize("tol", [0.0, 1e-300])
+    def test_exact_tie_rejected_at_any_tol(self, validate, tol):
+        with pytest.raises(NotDistinctError, match=r"s 1\.0 and 1\.0 "):
+            validate([1.0, 1.0, 2.0], tol=tol)
+
+    @pytest.mark.parametrize("validate", [validate_rates, validate_scales])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_tol_rejected(self, validate, tol):
+        with pytest.raises(ValueError, match=rf"^tol={tol!r} must be non-negative$"):
+            validate([1.0, 2.0], tol=tol)
+
+    def test_distinct_values_accepted_at_zero_tol(self):
+        assert validate_rates([2.0, math.nextafter(2.0, 3.0)], tol=0.0).n == 2
+        assert validate_scales([1.0, 0.5, 0.25], tol=0.0).scales == (1.0, 0.5, 0.25)
+
     def test_negative_rate_rejected(self):
         with pytest.raises(NonPositiveRateError):
             validate_rates([1.0, -3.0])
