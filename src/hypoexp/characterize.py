@@ -21,7 +21,9 @@ with one product chain and no signed sums.  This module computes the
 per-order residuals of both equations, the structural coefficients
 c_k = p_k - h_k and d_k = h_{k-1} (p_k = sum_i mu_i^k) that make each order's
 equation linear in the highest unknown, and forward-solves those recursions
-to exhibit the unique (exponential) solution at truncation order.
+to exhibit the unique (exponential) solution at truncation order.  One walk
+serves residuals and solves alike: it grows P and b one order at a time and
+either reports each order's residual or solves that order for a_k.
 
 Reading residuals: the order-k residual is judged against tol times the
 largest term of that order.  When a_1 * max(mu) > 1 those terms grow like
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .core import (
     RateVector,
@@ -45,7 +47,7 @@ from .core import (
     report_dict,
 )
 from .errors import NotNormalizedError, StructureViolationError, ZeroDivisorError
-from .series import ScaledProducts, Series, append_reciprocal, product_of_scaled
+from .series import ScaledProducts, Series, append_reciprocal
 
 #: Default truncation order for solvers and residual sweeps.
 DEFAULT_ORDER = 16
@@ -148,6 +150,10 @@ def _scaled_ok(value: float, scale: float, tol: float) -> bool:
     return abs(value) <= tol * max(1.0, scale)
 
 
+def _beyond(quantity: str) -> OverflowError:
+    return OverflowError(f"{quantity} is beyond the float range")
+
+
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"truncation order {order!r} must be at least 1")
@@ -168,7 +174,7 @@ def _terms(
         terms = [math.inf]
     scale = max(abs(t) for t in terms)
     if scale == math.inf:
-        raise OverflowError(f"Lemma 2 term {name}^{k} is beyond the float range")
+        raise _beyond(f"Lemma 2 term {name}^{k}")
     return terms, scale
 
 
@@ -190,9 +196,9 @@ def c_coefficients(
         try:
             pk = math.fsum(m**k for m in mu.scales)
         except OverflowError:
-            raise OverflowError(
-                f"power sum p_{k} of the scales is beyond the float range"
-            ) from None
+            raise _beyond(f"power sum p_{k} of the scales") from None
+        if h[k] == math.inf:
+            raise _beyond(f"complete homogeneous sum h_{k} of the scales")
         ck = pk - h[k]
         scale = max(pk, h[k])
         if k == 1:
@@ -217,8 +223,10 @@ def d_coefficients(
     """
     _check_order(order)
     check_tol(tol)
-    h = tuple(complete_homogeneous_table(mu.scales, order - 1))
-    return StructuralCoefficients("d", h, h)
+    h = complete_homogeneous_table(mu.scales, order - 1)
+    if h[-1] == math.inf:
+        raise _beyond(f"complete homogeneous sum h_{h.index(math.inf)} of the scales")
+    return StructuralCoefficients("d", tuple(h), tuple(h))
 
 
 def lemma2_check(
@@ -281,20 +289,14 @@ def lemma2_check(
 
 def _normalize(psi: Series) -> Series:
     a0 = psi.coefficients[0]
-    if not math.isfinite(a0) or a0 == 0.0:
-        raise NotNormalizedError(
-            f"constant term {a0!r} cannot be normalized to 1"
-        )
     if a0 == 1.0:
         return psi
-    return Series(tuple(c * (1.0 / a0) for c in psi.coefficients))
-
-
-def _target(k: int, survival: bool) -> float:
-    """Order-k coefficient of the right-hand side, 1 (density) or -t (survival)."""
-    if survival:
-        return -1.0 if k == 1 else 0.0
-    return 1.0 if k == 0 else 0.0
+    try:
+        return Series(tuple(c * (1.0 / a0) for c in psi.coefficients))
+    except (ZeroDivisionError, ValueError):
+        raise NotNormalizedError(
+            f"constant term {a0!r} cannot be normalized to 1"
+        ) from None
 
 
 def _moments(mu: ScaleVector, order: int, survival: bool) -> list[float]:
@@ -307,26 +309,62 @@ def _moments(mu: ScaleVector, order: int, survival: bool) -> list[float]:
     return [0.0] + h[:order] if survival else h
 
 
-def _order_terms(
-    product: Sequence[float], recip: Sequence[float], moments: Sequence[float], k: int
-) -> list[float]:
-    """Terms of the order-k coefficient of P(t) * sum_k b_k m_k t^k."""
-    return [product[i] * recip[k - i] * moments[k - i] for i in range(k + 1)]
-
-
-def _residual_terms(
-    psi: Series, mu: ScaleVector, survival: bool
+def _orders(
+    mu: ScaleVector,
+    coeffs: list[float],
+    survival: bool,
+    divisors: Optional[StructuralCoefficients] = None,
 ) -> tuple[list[float], list[float]]:
-    """Order-k residuals of a normalized psi and the largest term of each order."""
-    product = product_of_scaled(psi, mu).coefficients
-    recip = psi.reciprocal().coefficients
-    moments = _moments(mu, psi.order, survival)
-    residuals = []
-    scales = []
-    for k in range(psi.order + 1):
-        terms = _order_terms(product, recip, moments, k)
-        residuals.append(math.fsum(terms) - _target(k, survival))
-        scales.append(max(abs(t) for t in terms))
+    """Order by order, the coefficient of P(t) * sum_k b_k m_k t^k minus the target.
+
+    P = prod_i psi(mu_i t) and b = 1/psi, psi = sum_k coeffs[k] t^k, grow one
+    order per step.  Without ``divisors``: each order's residual and largest
+    term.  With them, a_k from the first free order up is unknown and 0 in
+    ``coeffs``: order k reads value - s * L_k * a_k = 0, value being its
+    residual at a_k = 0 (a_k enters P_k as p_k a_k and b_k as -a_k).  Survival
+    form: s = +1, L = d, free from order 1.  Density form: s = -1, L = c, free
+    from order 2.  Solved, a_k replaces its 0, order k is grown again with it,
+    and the lists stay empty.  Raises OverflowError naming the order where P,
+    b, the residual or a solved a_k leaves the float range.
+    """
+    sign, first = (1.0, 1) if survival else (-1.0, 2)
+    target = {1: -1.0} if survival else {0: 1.0}  # the right-hand side, -t or 1
+    last = len(coeffs) - 1
+    moments = _moments(mu, last, survival)
+    chain = ScaledProducts(mu.scales)
+    product = chain.product
+    recip: list[float] = []
+    residuals, scales = [], []
+    try:
+        for k in range(last + 1):
+            chain.grow(coeffs[k])
+            append_reciprocal(coeffs, recip)
+            if divisors is not None and k < first:
+                continue
+            terms = [product[i] * recip[k - i] * moments[k - i] for i in range(k + 1)]
+            value = math.fsum(terms) - target.get(k, 0.0)
+            if divisors is not None:
+                lk = divisors.at(k)
+                if abs(lk) <= 1e-13 * divisors.scale_at(k):
+                    raise ZeroDivisorError(
+                        f"{divisors.kind}_{k} = {lk!r} is numerically zero"
+                    )
+                value /= sign * lk
+            if not math.isfinite(value):
+                raise OverflowError
+            if divisors is None:
+                residuals.append(value)
+                scales.append(max(abs(t) for t in terms))
+                continue
+            coeffs[k] = value
+            if k < last:
+                chain.undo()
+                recip.pop()
+                chain.grow(value)
+                append_reciprocal(coeffs, recip)
+    except (OverflowError, ValueError):
+        form = "survival" if survival else "density"
+        raise _beyond(f"order {k} of the {form}-form equation") from None
     return residuals, scales
 
 
@@ -335,7 +373,7 @@ def _residual(
 ) -> ResidualReport:
     check_tol(tol)
     psi = _normalize(psi)
-    residuals, scales = _residual_terms(psi, mu, survival)
+    residuals, scales = _orders(mu, list(psi.coefficients), survival)
     violation = None
     fitted = None
     for k, (r, s) in enumerate(zip(residuals, scales)):
@@ -384,46 +422,6 @@ def residual_q(
     return _residual(psi, mu, survival=True, tol=tol)
 
 
-def _forward_solve(
-    mu: ScaleVector,
-    divisors: StructuralCoefficients,
-    coeffs: list[float],
-    survival: bool,
-) -> Series:
-    """Fill coeffs[k] from the first free order up.
-
-    Order k reads remainder - s * L_k * a_k = target_k, the remainder being the
-    order-k coefficient of P(t) * sum_k b_k m_k t^k at a_k = 0 (a_k enters
-    P_k as p_k a_k and b_k as -a_k).  Survival form: s = +1, L = d, free from
-    order 1.  Density form: s = -1, L = c, free from order 2 (a_1 is given).
-    The product chain P and the reciprocal b grow by one order per step:
-    a_{k-1}, then a trial a_k = 0 that is read and dropped again.
-    """
-    sign = 1.0 if survival else -1.0
-    first = 1 if survival else 2
-    moments = _moments(mu, len(coeffs) - 1, survival)
-    product = ScaledProducts(mu.scales)
-    recip: list[float] = []
-    for a in coeffs[: first - 1]:
-        product.grow(a)
-        append_reciprocal(coeffs, recip)
-    for k in range(first, len(coeffs)):
-        product.grow(coeffs[k - 1])
-        append_reciprocal(coeffs, recip)
-        product.grow(0.0)
-        append_reciprocal(coeffs, recip)  # coeffs[k] is still 0
-        remainder = math.fsum(_order_terms(product.product, recip, moments, k))
-        product.undo()
-        recip.pop()
-        lk = divisors.at(k)
-        if abs(lk) <= 1e-13 * divisors.scale_at(k):
-            raise ZeroDivisorError(
-                f"{divisors.kind}_{k} = {lk!r} is numerically zero"
-            )
-        coeffs[k] = (remainder - _target(k, survival)) / (sign * lk)
-    return Series(tuple(coeffs))
-
-
 def forward_solve_theorem1(
     mu: ScaleVector,
     a1: float,
@@ -439,10 +437,11 @@ def forward_solve_theorem1(
     """
     _check_order(order)
     check_tol(tol)
-    if a1 <= 0.0:
+    if not 0.0 < a1 < math.inf:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
     coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
-    return _forward_solve(mu, c_coefficients(mu, order, tol), coeffs, survival=False)
+    _orders(mu, coeffs, False, c_coefficients(mu, order, tol))
+    return Series(tuple(coeffs))
 
 
 def forward_solve_theorem2(
@@ -457,7 +456,8 @@ def forward_solve_theorem2(
     _check_order(order)
     check_tol(tol)
     coeffs = [1.0] + [0.0] * order
-    return _forward_solve(mu, d_coefficients(mu, order, tol), coeffs, survival=True)
+    _orders(mu, coeffs, True, d_coefficients(mu, order, tol))
+    return Series(tuple(coeffs))
 
 
 def is_exponential_series(

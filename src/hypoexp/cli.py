@@ -39,6 +39,7 @@ from . import (
     validate_scales,
     weights_from_scales,
 )
+from .core import report_dict
 from .errors import HypoexpError
 
 EXIT_OK = 0
@@ -226,12 +227,7 @@ def _run(args) -> tuple[dict, int]:
         else:
             mu = validate_scales(_read_reals(args.scales, "scales"))
             wv = weights_from_scales(mu)
-        return {
-            "weights": list(wv.weights),
-            "signs": list(wv.signs),
-            "log_magnitudes": list(wv.log_magnitudes),
-            "exact": wv.exact,
-        }, EXIT_OK
+        return report_dict(wv), EXIT_OK
 
     if cmd in ("pdf", "cdf", "sf"):
         dist = HypoexpDistribution.from_rates(_read_reals(args.rates, "rates"))

@@ -29,6 +29,9 @@ class Series:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("a series needs at least the constant coefficient")
+        for k, c in enumerate(self.coefficients):
+            if not math.isfinite(c):
+                raise ValueError(f"series coefficient a_{k} = {c!r} is not finite")
 
     @property
     def order(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypoexp import (
     forward_solve_theorem2,
     is_exponential_series,
     lemma2_check,
+    product_of_scaled,
     residual_h,
     residual_q,
     validate_rates,
@@ -25,13 +27,14 @@ from hypoexp import (
     weights_from_scales,
 )
 from hypoexp import oracles
+from hypoexp.core import complete_homogeneous_table
 from hypoexp.characterize import (
     DEFAULT_TOL,
     VERDICT_COMPATIBLE,
     VERDICT_DEGENERATE,
     VERDICT_INCOMPATIBLE,
     _normalize,
-    _residual_terms,
+    _orders,
 )
 from hypoexp.errors import HypoexpError, NotNormalizedError
 
@@ -151,6 +154,12 @@ class TestResidualH:
         with pytest.raises(NotNormalizedError):
             residual_h(Series.from_coefficients([0.0, 1.0, 0.0]), MU2)
 
+    @pytest.mark.parametrize("coeffs", [[5e-324, 1.0], [1e-300, 1e10, 0.0]])
+    def test_constant_term_too_small_to_divide_by(self, coeffs):
+        # 1 / a_0 or a_k / a_0 leaves the float range
+        with pytest.raises(NotNormalizedError, match="cannot be normalized"):
+            residual_h(Series.from_coefficients(coeffs), MU2)
+
 
 class TestResidualQ:
     def test_unit_exponential_passes(self):
@@ -232,6 +241,11 @@ class TestForwardSolvers:
     def test_theorem1_rejects_nonpositive_a1(self):
         with pytest.raises(ValueError):
             forward_solve_theorem1(MU2, -1.0)
+
+    @pytest.mark.parametrize("a1", [math.nan, math.inf])
+    def test_theorem1_rejects_non_finite_a1(self, a1):
+        with pytest.raises(ValueError, match=r"must be positive \(positive-mean"):
+            forward_solve_theorem1(MU2, a1, order=3)
 
     def test_theorem2_two_scales(self):
         solved = forward_solve_theorem2(MU2)
@@ -343,7 +357,7 @@ def _assert_same_verdict(psi: Series, mu, survival: bool) -> None:
         assert got.verdict == want.verdict
         return
     k = min(v for v in (got.first_violation_k, want.first_violation_k) if v is not None)
-    residuals, scales = _residual_terms(_normalize(psi), mu, survival)
+    residuals, scales = _orders(mu, list(_normalize(psi).coefficients), survival)
     rebuilt, rebuilt_scales = residual_terms_by_rebuild(psi, mu, survival)
     low, high = sorted(DEFAULT_TOL * max(1.0, s[k]) for s in (scales, rebuilt_scales))
     rounding = 1e-13 * max(1.0, scales[k], rebuilt_scales[k])
@@ -442,6 +456,76 @@ class TestWeightFreeForm:
             assert fn(exact, mu).verdict == VERDICT_COMPATIBLE
 
 
+def _batch_residuals(psi: Series, mu, survival: bool) -> list[float]:
+    """fsum(P_i * b_(k-i) * m_(k-i)) - target with P and b = 1/psi built whole."""
+    order = psi.order
+    product = product_of_scaled(psi, mu).coefficients
+    recip = psi.reciprocal().coefficients
+    h = complete_homogeneous_table(mu.scales, order)
+    moments = [0.0] + h[:order] if survival else h  # h_(k-1) or h_k
+    target = {1: -1.0} if survival else {0: 1.0}
+    return [
+        math.fsum(product[i] * recip[k - i] * moments[k - i] for i in range(k + 1))
+        - target.get(k, 0.0)
+        for k in range(order + 1)
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 16, 32])
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("kind", ["harmonic", "seeded"])
+def test_residuals_match_batch_products_bit_for_bit(kind, n, order):
+    """The order-by-order walk rounds exactly like the whole-series products."""
+    rng = np.random.default_rng(100 * n + order)
+    mu = harmonic(n) if kind == "harmonic" else validate_scales(random_scales(rng, n))
+    candidates = [
+        exponential_series(1.0, order),
+        Series.from_coefficients([1.0] + list(rng.uniform(-0.5, 0.5, order))),
+    ]
+    for psi in candidates:
+        for fn, survival in ((residual_h, False), (residual_q, True)):
+            got = fn(psi, mu, tol=0.0).residuals
+            want = _batch_residuals(psi, mu, survival)
+            assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+class TestBeyondFloatRange:
+    """A value that leaves the float range raises OverflowError naming its place."""
+
+    @pytest.mark.parametrize(
+        "call, quantity",
+        [
+            (lambda: residual_h(Series.from_coefficients([1.0, 1e200, 0.0]),
+                                validate_scales([1e-100, 1e-250])),
+             "order 2 of the density-form equation"),
+            (lambda: forward_solve_theorem1(
+                validate_scales([6.199893838051578e-82, 4.7653027140450045e-84,
+                                 1.8104184999703722e-185]),
+                1.55464378412941e106, order=3),
+             "order 3 of the density-form equation"),
+            (lambda: d_coefficients(validate_scales([1e200, 1e100]), 3),
+             "complete homogeneous sum h_2 of the scales"),
+            (lambda: c_coefficients(validate_scales([0.9e154, 0.8e154]), 2),
+             "complete homogeneous sum h_2 of the scales"),
+            (lambda: forward_solve_theorem2(validate_scales([1e200, 1e100]), order=3),
+             "complete homogeneous sum h_2 of the scales"),
+            (lambda: residual_q(Series.from_coefficients([1.0, 1.0, 0.0, 0.0]),
+                                validate_scales([1e200, 1e100])),
+             "order 2 of the survival-form equation"),
+            (lambda: residual_h(Series.from_coefficients([1.0, 1e200, 0.0, 0.0]), MU2),
+             "order 2 of the density-form equation"),
+            (lambda: forward_solve_theorem1(MU2, 1e200, order=4),
+             "order 2 of the density-form equation"),
+        ],
+        ids=["residual_h-reciprocal", "theorem1-solved-a3", "d-h2", "c-h2", "theorem2-d",
+             "residual_q-chain", "residual_h-large-a1", "theorem1-large-a1"],
+    )
+    def test_names_quantity(self, call, quantity):
+        message = f"^{re.escape(quantity)} is beyond the float range$"
+        with pytest.raises(OverflowError, match=message):
+            call()
+
+
 class TestNegativeTolerance:
     @pytest.mark.parametrize(
         "call",
@@ -489,6 +573,10 @@ class TestIsExponentialSeries:
         verdict = is_exponential_series(Series.from_coefficients([1.0] + [0.0] * 6))
         assert not verdict.is_exponential
         assert verdict.degenerate
+
+    def test_infinite_slope_rejected(self):
+        with pytest.raises(ValueError, match="a_1 = inf is not finite"):
+            is_exponential_series(Series.from_coefficients([1.0, math.inf, 0.0]))
 
 
 class TestConsistencyWithDistribution:

@@ -348,6 +348,33 @@ class TestArithmeticErrorNamed:
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+class TestCharacterizationOverflowNamed:
+    """Overflow in the characterization equations names the equation and order."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--theorem", "2", "--scales", "[1e200, 1e100]", "--K", "3"],
+             "complete homogeneous sum h_2 of the scales is beyond the float range"),
+            (["residual", "--which", "q", "--scales", "[1e200, 1e100]",
+              "--psi", "[1, 1, 0, 0]"],
+             "order 2 of the survival-form equation is beyond the float range"),
+            (["residual", "--which", "h", "--scales", "[1, 0.5]",
+              "--psi", "[1, 1e200, 0, 0]"],
+             "order 2 of the density-form equation is beyond the float range"),
+            (["solve", "--theorem", "1", "--scales", "[1, 0.5]", "--a1", "1e200",
+              "--K", "4"],
+             "order 2 of the density-form equation is beyond the float range"),
+            (["coeffs", "--which", "d", "--scales", "[1e200, 1e100]", "--K", "3"],
+             "complete homogeneous sum h_2 of the scales is beyond the float range"),
+            (["coeffs", "--which", "c", "--scales", "[0.9e154, 0.8e154]", "--K", "2"],
+             "complete homogeneous sum h_2 of the scales is beyond the float range"),
+        ],
+    )
+    def test_message_names_equation_and_order(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, option",

@@ -132,6 +132,16 @@ class TestReciprocal:
             Series.from_coefficients([0.0, 1.0]).reciprocal()
 
 
+class TestNonFiniteCoefficient:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_rejected_naming_order(self, k, value):
+        coeffs = [1.0, 0.5, 0.25, 0.125]
+        coeffs[k] = value
+        with pytest.raises(ValueError, match=f"a_{k} = {value!r} is not finite"):
+            Series.from_coefficients(coeffs)
+
+
 class TestProductOfScaled:
     def test_linear_factors(self):
         u = Series.from_coefficients([1.0, 1.0, 0.0, 0.0])
