@@ -154,6 +154,14 @@ def _beyond(quantity: str) -> OverflowError:
     return OverflowError(f"{quantity} is beyond the float range")
 
 
+def _tail_scale(a1: float, k: int) -> float:
+    """|a_1|^k, the scale of order k in the exponential-series tail test."""
+    try:
+        return abs(a1) ** k
+    except OverflowError:
+        raise _beyond(f"tail scale |a_1|^{k} of a_1 = {a1!r}") from None
+
+
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"truncation order {order!r} must be at least 1")
@@ -473,7 +481,7 @@ def is_exponential_series(
     psi = _normalize(psi)
     a1 = psi.coefficients[1] if psi.order >= 1 else 0.0
     tail_ok = all(
-        abs(c) <= tol * max(1.0, abs(a1) ** k)
+        abs(c) <= tol * max(1.0, _tail_scale(a1, k))
         for k, c in enumerate(psi.coefficients[2:], start=2)
     )
     if tail_ok and abs(a1) <= tol:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -59,6 +60,13 @@ _BLOCK_ENTRIES = 1 << 16
 
 #: exp(t) is exactly 0.0 for every t at or below this bound.
 _EXP_UNDERFLOW = -745.2
+
+#: Up to this many columns a block's exponentials are copied from their
+#: transposed scratch a column at a time; above it, by one transposed copy,
+#: whose loop pays per row.  CPU time per block, column copies vs transposed
+#: copy (2-vCPU Intel Xeon VM, numpy 2.4): 70 vs 163 us at n = 4, 76 vs 95
+#: at n = 6, even at n = 7, 132 vs 97 at n = 8 and 162 vs 76 at n = 16.
+_COLUMN_LOOP_MAX = 6
 
 
 def _block_rows(n: int) -> int:
@@ -257,10 +265,19 @@ class HypoexpDistribution:
 
     # -- pointwise evaluation -------------------------------------------------
 
+    @cached_property
+    def _pdf_coeffs(self) -> tuple[float, ...]:
+        """w_j * lambda_j, the pdf's mixture coefficients."""
+        return tuple(w * lam for w, lam in zip(self.weights.weights, self.rates.rates))
+
+    @cached_property
+    def _neg_rates(self) -> tuple[float, ...]:
+        """-lambda_j: (-lambda) * x == -(lambda * x) exactly."""
+        return tuple(-lam for lam in self.rates.rates)
+
     def pdf(self, x):
         """Density at x >= 0; accepts a float or an ndarray."""
-        coeffs = [w * lam for w, lam in zip(self.weights.weights, self.rates.rates)]
-        return self._mixture(x, coeffs, math.inf, "pdf")
+        return self._mixture(x, self._pdf_coeffs, math.inf, "pdf")
 
     def survival(self, x):
         """P(S > x); accepts a float or an ndarray."""
@@ -284,12 +301,14 @@ class HypoexpDistribution:
         x = float(x)
         if x < 0.0:
             raise ValueError(f"x={x!r} outside support [0, inf)")
-        terms = [c * math.exp(-lam * x) for c, lam in zip(coeffs, self.rates.rates)]
+        terms = [c * math.exp(nl * x) for c, nl in zip(coeffs, self._neg_rates)]
         value = math.fsum(terms)
-        clamp = _CANCELLATION_CLAMP * max(abs(t) for t in terms)
-        if value < -clamp:
-            raise _cancelled(name, x, value, clamp)
-        return min(max(value, 0.0), upper)
+        if value < 0.0:  # only then can the clamp fire
+            clamp = _CANCELLATION_CLAMP * max(map(abs, terms))
+            if value < -clamp:
+                raise _cancelled(name, x, value, clamp)
+            return 0.0
+        return upper if value > upper else value  # NaN stays NaN
 
     def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray, name: str) -> np.ndarray:
         """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x, 1-D, in float64.
@@ -298,24 +317,35 @@ class HypoexpDistribution:
         grows with the block, not with x, and the result equals the one-shot
         ``np.exp(-np.outer(x, lambda)) @ coeffs`` bit for bit, as one BLAS
         thread computes it (a threaded ``gemv`` of a large one-shot product
-        splits its rows at a point set by the thread count).  A block with
-        an exponent at or below ``_EXP_UNDERFLOW`` skips those exponentials,
-        which are exactly 0.0; NaN lanes still reach ``exp``.
+        splits its rows at a point set by the thread count).  Each block
+        fills the (rows, n) matrix of exponentials and runs ``gemv`` on all
+        of it; exponents at or below ``_EXP_UNDERFLOW`` skip ``exp`` and
+        enter as exactly 0.0, but NaN lanes still reach it.
+
+        In a block of ascending points (``_exp_ascending``) the skip goes
+        by column.  x * -lambda_j falls as x grows, and the rates ascend, so
+        -lambda descends and the exponents at the block's first point fall
+        from column to column: the columns dead there are dead on every row
+        and form a suffix, which is never multiplied.  Any other block,
+        NaN included, prunes nothing and takes a masked ``exp`` (``_exp_any``).
         """
         import numpy as np
         x = np.asarray(x, dtype=float).ravel()  # the underflow bound is float64's
-        neg_lam = -np.asarray(self.rates.rates)
         rows = _block_rows(self.n)
         out = np.empty(x.size)
+        size = min(x.size, rows + 1) * self.n
+        exps, scratch = np.empty(size), np.empty(size)
         start = 0
         while start < x.size:
             # a lone last row would go through BLAS dot, not gemv, and round apart
             stop = start + rows if x.size - start > rows + 1 else x.size
-            arg = np.multiply.outer(x[start:stop], neg_lam)
-            if arg.min() > _EXP_UNDERFLOW:
-                e = np.exp(arg, out=arg)
+            xb = x[start:stop]
+            e = exps[:xb.size * self.n].reshape(xb.size, self.n)
+            # NaN fails every comparison, so a block holding one is not ascending
+            if xb[0] <= xb[-1] and np.all(xb[:-1] <= xb[1:]):
+                _exp_ascending(xb, self._neg_rates, e, scratch)
             else:
-                e = np.exp(arg, out=np.zeros_like(arg), where=~(arg <= _EXP_UNDERFLOW))
+                e = _exp_any(xb, self._neg_rates, e, scratch)
             values = np.dot(e, coeffs, out=out[start:stop])
             if np.fmin.reduce(values) < 0.0:  # only then the clamp; fmin skips NaN
                 neg = np.flatnonzero(values < 0.0)
@@ -417,16 +447,69 @@ class HypoexpDistribution:
             raise ValueError(f"count={count} must be >= 1")
         import numpy as np
         rng = np.random.default_rng(seed)
-        neg_lam = -np.asarray(self.rates.rates)
         rows = _block_rows(self.n)
+        # one flat division per block: broadcasting a row of n would loop per row
+        neg_lam = np.tile(self._neg_rates, min(rows, count))
         out = np.empty(count)
         for start in range(0, count, rows):
             u = rng.random((min(rows, count - start), self.n))
             np.subtract(1.0, u, out=u)  # maps [0,1) onto (0,1]
-            np.log(u, out=u)
-            u /= neg_lam  # log(u)/(-lambda) == -log(u)/lambda exactly
+            flat = np.log(u, out=u).reshape(-1)
+            np.divide(flat, neg_lam[:flat.size], out=flat)  # == -log(u)/lambda exactly
             u.sum(axis=1, out=out[start:start + rows])
         return out
+
+
+def _exp_ascending(xb: np.ndarray, neg_lam: Sequence[float], e: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """Fill e[i, j] = exp(xb[i] * neg_lam[j]) for ascending xb without NaN.
+
+    The exponents fall down each column, so a column at or below
+    ``_EXP_UNDERFLOW`` at xb[0] is dead on every row; only the suffix of
+    such columns is dropped, so any order of the rates stays exact.  In
+    every other column the dead rows form a suffix.  The live prefix of each
+    live column is multiplied and exponentiated in a transposed scratch,
+    where columns are contiguous, then copied into e; the rest of e is 0.0.
+    """
+    import numpy as np
+    m, n = e.shape
+    lo, hi = float(xb[0]), float(xb[-1])
+    live = n  # columns not dead at xb[0]: drop the dead suffix
+    while live and lo * neg_lam[live - 1] <= _EXP_UNDERFLOW:
+        live -= 1
+    full = 0  # columns alive at xb[-1], hence on every row
+    while full < live and hi * neg_lam[full] > _EXP_UNDERFLOW:
+        full += 1
+    t = scratch[:n * m].reshape(n, m)
+    for j in range(live):
+        np.multiply(xb, neg_lam[j], out=t[j])
+    np.exp(t[:full], out=t[:full])
+    for j in range(full, live):
+        cut = np.count_nonzero(t[j] > _EXP_UNDERFLOW)
+        np.exp(t[j, :cut], out=t[j, :cut])
+        t[j, cut:] = 0.0
+    t[live:] = 0.0
+    if n <= _COLUMN_LOOP_MAX:
+        for j in range(n):
+            e[:, j] = t[j]
+    else:
+        e[...] = t.T
+
+
+def _exp_any(xb: np.ndarray, neg_lam: Sequence[float], arg: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """exp(xb[i] * neg_lam[j]) for any xb, in arg or in scratch.
+
+    The product is taken whole, in arg; ``exp`` runs there in place, or,
+    if a lane is at or below ``_EXP_UNDERFLOW``, masked into zeroed scratch.
+    """
+    import numpy as np
+    np.multiply.outer(xb, neg_lam, out=arg)
+    if arg.min() > _EXP_UNDERFLOW:
+        return np.exp(arg, out=arg)
+    e = scratch[:arg.size].reshape(arg.shape)
+    e.fill(0.0)
+    return np.exp(arg, out=e, where=~(arg <= _EXP_UNDERFLOW))
 
 
 def _cancelled(name: str, x: float, value: float, clamp: float) -> NegativeDensityError:

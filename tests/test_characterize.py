@@ -578,6 +578,14 @@ class TestIsExponentialSeries:
         with pytest.raises(ValueError, match="a_1 = inf is not finite"):
             is_exponential_series(Series.from_coefficients([1.0, math.inf, 0.0]))
 
+    @pytest.mark.parametrize("a1", [1e200, -1e200], ids=["positive", "negative"])
+    def test_tail_scale_overflow_named(self, a1):
+        # |a_1|^2 leaves the float range at the first order of the tail test
+        message = (f"^tail scale \\|a_1\\|\\^2 of a_1 = {re.escape(repr(a1))}"
+                   " is beyond the float range$")
+        with pytest.raises(OverflowError, match=message):
+            is_exponential_series(Series.from_coefficients([1.0, a1, 0.0, 0.0]))
+
 
 class TestConsistencyWithDistribution:
     def test_residual_and_laplace_identity_agree(self):

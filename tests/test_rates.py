@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -21,7 +23,7 @@ from hypoexp import (
     validate_scales,
     weights_from_scales,
 )
-from hypoexp.core import _block_rows
+from hypoexp.core import _CANCELLATION_CLAMP, _EXP_UNDERFLOW, _block_rows
 from hypoexp.errors import (
     BinomialCapError,
     NegativeDensityError,
@@ -483,16 +485,38 @@ def _spread_rates(rng, n):
 def _block_grids(rates, size, rng):
     """Grids of ``size`` points: the benchmark's grid (mean + 8 sd) sorted and
     shuffled, one whose fastest-rate exponents cross the subnormal band
-    [-745.2, -708.4], and one where every exponent is below -800."""
+    [-745.2, -708.4], and one where every exponent is below -800; then the
+    benchmark's grid descending, and sorted with its last quarter +inf."""
     mean = math.fsum(1.0 / r for r in rates)
     sd = math.sqrt(math.fsum(1.0 / r**2 for r in rates))
     grid = np.linspace(0.0, mean + 8.0 * sd, size)
+    ending_inf = grid.copy()
+    ending_inf[size - size // 4:] = np.inf
     return {
         "sorted": grid,
         "unsorted": rng.permutation(grid),
         "subnormal": np.linspace(700.0, 760.0, size) / rates[-1],
         "underflow": np.linspace(800.0, 1e4, size) / rates[0],
+        "descending": grid[::-1].copy(),
+        "ending_inf": ending_inf,
     }
+
+
+def _gapped_grid(rates):
+    """Three blocks and five points, ascending but for a NaN in the first
+    block.  The first block starts at 0, where no column underflows; from
+    the second block on every exponent is below -800, so every column does;
+    the third block turns +inf halfway."""
+    block = _block_rows(len(rates))
+    mean = math.fsum(1.0 / r for r in rates)
+    sd = math.sqrt(math.fsum(1.0 / r**2 for r in rates))
+    x = np.concatenate([
+        np.linspace(0.0, mean + 8.0 * sd, block),
+        np.linspace(800.0, 1e4, 2 * block + 5) / rates[0],
+    ])
+    x[block // 2] = np.nan
+    x[5 * block // 2:] = np.inf
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +541,7 @@ def one_shot_cases(tmp_path_factory):
         grid = _block_grids(rates, 3 * block + 6, rng)["sorted"]
         xs[f"n{n}-2d"] = grid.reshape(3, -1)
         xs[f"n{n}-0d"] = np.array(rates.sum())
+        xs[f"gapped-n{n}"] = _gapped_grid(rates)  # NaN: compared apart
         for cid, x in xs.items():
             cases[cid] = (dist, x)
             saved[f"{cid}.x"] = x
@@ -556,6 +581,19 @@ class TestBlockedKernels:
             survival = np.clip(sf, 0.0, 1.0)
             assert np.array_equal(dist.survival(x), survival), cid
             assert np.array_equal(dist.cdf(x), 1.0 - survival), cid
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_gapped_grid_matches_one_shot(self, one_shot_cases, n):
+        dist, x, pdf, sf = one_shot_cases[f"gapped-n{n}"]
+        block, slowest = _block_rows(n), dist.rates.rates[0]
+        assert x.size >= 3 * block and x[0] == 0.0
+        assert np.isnan(x[:block]).any() and not np.isnan(x[block:]).any()
+        assert x[block] * -slowest <= _EXP_UNDERFLOW  # every column dead from here
+        assert np.isinf(x[2 * block:3 * block]).any()
+        assert np.array_equal(dist.pdf(x), np.maximum(pdf, 0.0), equal_nan=True)
+        survival = np.clip(sf, 0.0, 1.0)
+        assert np.array_equal(dist.survival(x), survival, equal_nan=True)
+        assert np.array_equal(dist.cdf(x), 1.0 - survival, equal_nan=True)
 
     def test_other_dtypes_evaluate_in_float64(self):
         dist = HypoexpDistribution.from_rates([1.0, 2.0, 5.0])
@@ -613,6 +651,61 @@ class TestNonFiniteArguments:
                 fn(-math.inf)
             with pytest.raises(ValueError):
                 fn(np.array([1.0, -np.inf]))
+
+
+@st.composite
+def spaced_rates(draw, max_n=32):
+    """2..max_n ascending rates from 1e-3 up, adjacent gaps above 6%.
+
+    Drawn without filtering: ``rate_lists``' ``assume`` would reject most
+    draws of 32 rates.
+    """
+    n = draw(st.integers(2, max_n))
+    start = draw(st.floats(-3.0, 1.0))
+    steps = draw(st.lists(st.floats(0.03, 0.25), min_size=n - 1, max_size=n - 1))
+    return [10.0**e for e in itertools.accumulate(steps, initial=start)]
+
+
+class TestScalarFloats:
+    """Scalar evaluation keeps the floats of the plain formula."""
+
+    @given(spaced_rates(), st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_formula(self, rates, multiple):
+        dist = HypoexpDistribution.from_rates(rates)
+        x = multiple * dist.mean()
+        expected = {}
+        for name, upper in (("pdf", math.inf), ("survival", 1.0)):
+            # the coefficients rebuilt from the weights on every call
+            terms = [
+                (w * lam if name == "pdf" else w) * math.exp(-lam * x)
+                for w, lam in zip(dist.weights.weights, dist.rates.rates)
+            ]
+            value = math.fsum(terms)
+            cancelled = value < -_CANCELLATION_CLAMP * max(abs(t) for t in terms)
+            expected[name] = None if cancelled else min(max(value, 0.0), upper)
+        survival = expected["survival"]
+        expected["cdf"] = None if survival is None else 1.0 - survival
+        for name, want in expected.items():
+            fn = getattr(dist, name)
+            if want is None:
+                with pytest.raises(NegativeDensityError):
+                    fn(x)
+            else:
+                assert fn(x).hex() == want.hex(), name
+
+    def test_cached_coefficients_leave_identity_alone(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0, 5.0])
+        fresh = HypoexpDistribution.from_rates([1.0, 2.0, 5.0])
+        before = (repr(dist), hash(dist))
+        dist.pdf(0.5)
+        dist.survival(np.array([0.5, 1.0]))
+        assert (repr(dist), hash(dist)) == before
+        assert dist == fresh and fresh == dist
+        back = pickle.loads(pickle.dumps(dist))
+        assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
+        assert back.pdf(0.5).hex() == fresh.pdf(0.5).hex()
+        assert back.survival(1.0).hex() == fresh.survival(1.0).hex()
 
 
 #: Rates 1.0001**k, k = 0..5: their signed mixtures sum to about -1e-305 from
