@@ -12,14 +12,15 @@ Each weight is accurate to a few ulps, and ``WeightVector`` also reports its
 sign and log-magnitude, which stay right where the weight itself underflows.
 
 ``pdf`` and ``survival`` (``cdf`` = 1 - ``survival``) keep one contract for a
-float and an ndarray.  A float is summed by ``math.fsum``, an ndarray by BLAS
-in row blocks of about ``_BLOCK_ENTRIES`` float64 entries, bit for bit the
-one-shot formula, so float and array results may differ in the last bits.
+float and an ndarray.  A float is summed by ``math.fsum``, an ndarray one
+rate at a time in order, in blocks of ``_BLOCK_ENTRIES`` points, so float
+and array results may differ in the last bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -55,27 +56,18 @@ _CANCELLATION_CLAMP = 1e-12
 #: Quantile bisection stops once |cdf(x) - p| is at most this.
 _QUANTILE_TOL = 1e-13
 
-#: Array kernels work in row blocks of about this many float64 entries.
+#: Array kernels work in blocks of this many points (``_mixture_many``) or
+#: of about this many float64 entries (``sample``).
 _BLOCK_ENTRIES = 1 << 16
 
 #: exp(t) is exactly 0.0 for every t at or below this bound.
 _EXP_UNDERFLOW = -745.2
 
-#: Up to this many columns a block's exponentials are copied from their
-#: transposed scratch a column at a time; above it, by one transposed copy,
-#: whose loop pays per row.  CPU time per block, column copies vs transposed
-#: copy (2-vCPU Intel Xeon VM, numpy 2.4): 70 vs 163 us at n = 4, 76 vs 95
-#: at n = 6, even at n = 7, 132 vs 97 at n = 8 and 162 vs 76 at n = 16.
-_COLUMN_LOOP_MAX = 6
-
 
 def _block_rows(n: int) -> int:
-    """Rows per block for n columns: a power of two, at least 1024.
-
-    A power of two keeps every block boundary on BLAS ``gemv``'s row
-    grouping, so blocked products equal one-shot products bit for bit.
-    """
-    return max(1024, 1 << ((_BLOCK_ENTRIES // n).bit_length() - 1))
+    """Rows of n draws per ``sample`` block: about ``_BLOCK_ENTRIES``
+    entries, and at least 1024 rows."""
+    return max(1024, _BLOCK_ENTRIES // n)
 
 
 @dataclass(frozen=True)
@@ -132,6 +124,14 @@ def report_dict(report) -> dict:
         f.name: list(v) if isinstance(v := getattr(report, f.name), tuple) else v
         for f in fields(report)
     }
+
+
+def _integer(name: str, value) -> int:
+    """value as an int (numpy integers too), else ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
 
 
 def check_tol(tol: float) -> None:
@@ -297,7 +297,7 @@ class HypoexpDistribution:
         if np is not None and isinstance(x, np.ndarray):
             if np.any(x < 0.0):
                 raise ValueError(f"x={float(x[x < 0.0][0])!r} outside support [0, inf)")
-            return np.clip(self._mixture_many(x, np.asarray(coeffs), name), 0.0, upper)
+            return np.clip(self._mixture_many(x, coeffs, name), 0.0, upper)
         x = float(x)
         if x < 0.0:
             raise ValueError(f"x={x!r} outside support [0, inf)")
@@ -310,51 +310,57 @@ class HypoexpDistribution:
             return 0.0
         return upper if value > upper else value  # NaN stays NaN
 
-    def _mixture_many(self, x: np.ndarray, coeffs: np.ndarray, name: str) -> np.ndarray:
+    def _mixture_many(self, x: np.ndarray, coeffs: Sequence[float], name: str) -> np.ndarray:
         """sum_j coeffs_j * exp(-lambda_j * x) at every entry of x, 1-D, in float64.
 
-        Works through x in row blocks of ``_block_rows(n)`` points, so memory
-        grows with the block, not with x, and the result equals the one-shot
-        ``np.exp(-np.outer(x, lambda)) @ coeffs`` bit for bit, as one BLAS
-        thread computes it (a threaded ``gemv`` of a large one-shot product
-        splits its rows at a point set by the thread count).  Each block
-        fills the (rows, n) matrix of exponentials and runs ``gemv`` on all
-        of it; exponents at or below ``_EXP_UNDERFLOW`` skip ``exp`` and
-        enter as exactly 0.0, but NaN lanes still reach it.
+        Works through x in blocks of ``_BLOCK_ENTRIES`` points, so memory
+        grows with the block, not with x.  Each block adds its terms one rate
+        at a time, out += coeffs_j * exp(x * -lambda_j) for j = 0..n-1, so
+        every point runs the same operations wherever the blocks split, and
+        the result equals that sum over all of x in one shot, bit for bit.
+        A term whose exponent is at or below ``_EXP_UNDERFLOW`` is exactly
+        0.0 and is left out.
 
-        In a block of ascending points (``_exp_ascending``) the skip goes
-        by column.  x * -lambda_j falls as x grows, and the rates ascend, so
-        -lambda descends and the exponents at the block's first point fall
-        from column to column: the columns dead there are dead on every row
-        and form a suffix, which is never multiplied.  Any other block,
-        NaN included, prunes nothing and takes a masked ``exp`` (``_exp_any``).
+        A sorted block is taken ascending (a descending one through its
+        reversed copy).  Then x * -lambda_j falls along the block and, as the
+        rates ascend, from column to column: the first column dead at the
+        block's first point ends the loop, and every other column stops at
+        its last live point.  Any other block, NaN included, takes a masked
+        ``exp``.
         """
         import numpy as np
         x = np.asarray(x, dtype=float).ravel()  # the underflow bound is float64's
-        rows = _block_rows(self.n)
-        out = np.empty(x.size)
-        size = min(x.size, rows + 1) * self.n
-        exps, scratch = np.empty(size), np.empty(size)
-        start = 0
-        while start < x.size:
-            # a lone last row would go through BLAS dot, not gemv, and round apart
-            stop = start + rows if x.size - start > rows + 1 else x.size
-            xb = x[start:stop]
-            e = exps[:xb.size * self.n].reshape(xb.size, self.n)
-            # NaN fails every comparison, so a block holding one is not ascending
-            if xb[0] <= xb[-1] and np.all(xb[:-1] <= xb[1:]):
-                _exp_ascending(xb, self._neg_rates, e, scratch)
-            else:
-                e = _exp_any(xb, self._neg_rates, e, scratch)
-            values = np.dot(e, coeffs, out=out[start:stop])
-            if np.fmin.reduce(values) < 0.0:  # only then the clamp; fmin skips NaN
-                neg = np.flatnonzero(values < 0.0)
-                clamp = _CANCELLATION_CLAMP * np.abs(e[neg] * coeffs).max(axis=1)
-                bad = values[neg] < -clamp
+        out = np.zeros(x.size)
+        buf = np.empty(min(x.size, _BLOCK_ENTRIES))
+        for start in range(0, x.size, _BLOCK_ENTRIES):
+            xs, ys = x[start:start + _BLOCK_ENTRIES], out[start:start + _BLOCK_ENTRIES]
+            xb, ob = (xs[::-1].copy(), ys[::-1]) if xs[-1] < xs[0] else (xs, ys)
+            lo, hi = float(xb[0]), float(xb[-1])
+            # NaN fails every comparison, so a block holding one is not sorted
+            ordered = lo <= hi and (xb[:-1] <= xb[1:]).all()
+            for c, nl in zip(coeffs, self._neg_rates):
+                if not ordered:
+                    t = np.multiply(xb, nl, out=buf[:xb.size])
+                    np.exp(t, out=t, where=t > _EXP_UNDERFLOW)
+                    np.maximum(t, 0.0, out=t)  # masked lanes still hold exponents < 0
+                elif lo * nl <= _EXP_UNDERFLOW:
+                    break  # dead at the first point, as is every later rate
+                else:
+                    cut = xb.size if hi * nl > _EXP_UNDERFLOW else _live_prefix(xb, nl)
+                    t = np.multiply(xb[:cut], nl, out=buf[:cut])
+                    np.exp(t, out=t)
+                t *= c
+                ob[:t.size] += t
+            if np.fmin.reduce(ys) < 0.0:  # only then the clamp; fmin skips NaN
+                neg = np.flatnonzero(ys < 0.0)
+                xn, largest = xs[neg], np.zeros(neg.size)
+                for c, nl in zip(coeffs, self._neg_rates):
+                    np.maximum(largest, np.abs(np.exp(xn * nl) * c), out=largest)
+                clamp = _CANCELLATION_CLAMP * largest
+                bad = ys[neg] < -clamp
                 if bad.any():
                     i = bad.argmax()
-                    raise _cancelled(name, x[start + neg[i]], values[neg[i]], clamp[i])
-            start = stop
+                    raise _cancelled(name, xn[i], ys[neg[i]], clamp[i])
         return out
 
     # -- transforms and moments ----------------------------------------------
@@ -387,6 +393,7 @@ class HypoexpDistribution:
         h_k is the complete homogeneous symmetric polynomial, evaluated by
         the O(n*k) prefix recurrence rather than multi-index enumeration.
         """
+        k = _integer("moment order k", k)
         if k < 1:
             raise ValueError(f"moment order k={k} must be >= 1")
         hk = complete_homogeneous(
@@ -443,6 +450,7 @@ class HypoexpDistribution:
         generator's stream in the same order as one (count, n) draw, so the
         values equal the one-shot formula bit for bit.
         """
+        count = _integer("count", count)
         if count < 1:
             raise ValueError(f"count={count} must be >= 1")
         import numpy as np
@@ -460,56 +468,16 @@ class HypoexpDistribution:
         return out
 
 
-def _exp_ascending(xb: np.ndarray, neg_lam: Sequence[float], e: np.ndarray,
-                   scratch: np.ndarray) -> None:
-    """Fill e[i, j] = exp(xb[i] * neg_lam[j]) for ascending xb without NaN.
-
-    The exponents fall down each column, so a column at or below
-    ``_EXP_UNDERFLOW`` at xb[0] is dead on every row; only the suffix of
-    such columns is dropped, so any order of the rates stays exact.  In
-    every other column the dead rows form a suffix.  The live prefix of each
-    live column is multiplied and exponentiated in a transposed scratch,
-    where columns are contiguous, then copied into e; the rest of e is 0.0.
-    """
-    import numpy as np
-    m, n = e.shape
-    lo, hi = float(xb[0]), float(xb[-1])
-    live = n  # columns not dead at xb[0]: drop the dead suffix
-    while live and lo * neg_lam[live - 1] <= _EXP_UNDERFLOW:
-        live -= 1
-    full = 0  # columns alive at xb[-1], hence on every row
-    while full < live and hi * neg_lam[full] > _EXP_UNDERFLOW:
-        full += 1
-    t = scratch[:n * m].reshape(n, m)
-    for j in range(live):
-        np.multiply(xb, neg_lam[j], out=t[j])
-    np.exp(t[:full], out=t[:full])
-    for j in range(full, live):
-        cut = np.count_nonzero(t[j] > _EXP_UNDERFLOW)
-        np.exp(t[j, :cut], out=t[j, :cut])
-        t[j, cut:] = 0.0
-    t[live:] = 0.0
-    if n <= _COLUMN_LOOP_MAX:
-        for j in range(n):
-            e[:, j] = t[j]
-    else:
-        e[...] = t.T
-
-
-def _exp_any(xb: np.ndarray, neg_lam: Sequence[float], arg: np.ndarray,
-             scratch: np.ndarray) -> np.ndarray:
-    """exp(xb[i] * neg_lam[j]) for any xb, in arg or in scratch.
-
-    The product is taken whole, in arg; ``exp`` runs there in place, or,
-    if a lane is at or below ``_EXP_UNDERFLOW``, masked into zeroed scratch.
-    """
-    import numpy as np
-    np.multiply.outer(xb, neg_lam, out=arg)
-    if arg.min() > _EXP_UNDERFLOW:
-        return np.exp(arg, out=arg)
-    e = scratch[:arg.size].reshape(arg.shape)
-    e.fill(0.0)
-    return np.exp(arg, out=e, where=~(arg <= _EXP_UNDERFLOW))
+def _live_prefix(xb: np.ndarray, nl: float) -> int:
+    """Count of the leading points of ascending xb with xb * nl above
+    ``_EXP_UNDERFLOW``: a search for ``_EXP_UNDERFLOW / nl``, then exact
+    tests that step over runs of equal points."""
+    cut = xb.searchsorted(_EXP_UNDERFLOW / nl)
+    while cut < xb.size and xb[cut] * nl > _EXP_UNDERFLOW:
+        cut = xb.searchsorted(xb[cut], "right")
+    while cut and xb[cut - 1] * nl <= _EXP_UNDERFLOW:
+        cut = xb.searchsorted(xb[cut - 1], "left")
+    return int(cut)
 
 
 def _cancelled(name: str, x: float, value: float, clamp: float) -> NegativeDensityError:

@@ -189,9 +189,10 @@ def exponentiality_test(
     n-tuples, forms the weighted sums, and KS-compares them against the
     hypoexponential law with rates lambda/mu_j.  Rejection indicates
     non-exponential data; non-rejection is merely consistent with it.
+    N-D data count as the flat sequence of their entries.
     """
     _check_alpha(alpha)
-    x = np.asarray(data, dtype=float)
+    x = np.asarray(data, dtype=float).ravel()
     n = mu.n
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise NonPositiveObservationError(

@@ -15,7 +15,8 @@ definitions for rational scales.
 ``hypoexp.oracles.convolve_numeric`` must match it to rounding.
 ``mixture_direct`` and ``sample_direct`` are the one-shot array formulas of
 ``HypoexpDistribution``, with every temporary the size of the whole input;
-the blocked kernels must match them bit for bit.
+the blocked kernels, which skip the exponentials that underflow, must match
+them bit for bit.
 ``quantile_capped`` is the earlier ``HypoexpDistribution.quantile``, with its
 200-doubling cap, 500-halving cap and width stop; wherever it returns a value
 the bisection without caps must return the same float.
@@ -275,10 +276,15 @@ def convolve_direct(rates: Sequence[float], step: float, t_max: float) -> GridDe
 
 
 def mixture_direct(
-    x: np.ndarray, rates: Sequence[float], coeffs: np.ndarray
+    x: np.ndarray, rates: Sequence[float], coeffs: Sequence[float]
 ) -> np.ndarray:
-    """sum_j coeffs_j * exp(-rates_j * x) at every entry of x, in one shot."""
-    return np.exp(-np.outer(x, np.asarray(rates))) @ coeffs
+    """sum_j coeffs_j * exp(-rates_j * x) at every entry of x, flat, in one
+    shot: the terms added one rate at a time, j = 0..n-1."""
+    x = np.asarray(x, dtype=float).ravel()
+    out = np.zeros(x.size)
+    for c, lam in zip(coeffs, rates):
+        out += c * np.exp(-lam * x)
+    return out
 
 
 def sample_direct(rates: Sequence[float], count: int, seed: int) -> np.ndarray:

@@ -217,6 +217,12 @@ class TestExponentialityTest:
         b = exponentiality_test(data, MU2, seed=7)
         assert a.statistic == b.statistic
 
+    def test_nd_data_count_as_flat_entries(self):
+        data = np.random.default_rng(104).exponential(1.0, (300, 2))
+        report = exponentiality_test(data, MU2, seed=3)
+        assert report.n_observations == 600 and report.n_tuples == 300
+        assert report == exponentiality_test(data.ravel(), MU2, seed=3)
+
     def test_nonpositive_data_rejected(self):
         with pytest.raises(NonPositiveObservationError):
             exponentiality_test([1.0, 0.0] + [1.0] * 200, MU2)

@@ -1,18 +1,14 @@
 import itertools
 import math
-import os
 import pickle
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-import hypoexp
 from hypoexp import (
     HypoexpDistribution,
     binomial_weights,
@@ -23,7 +19,12 @@ from hypoexp import (
     validate_scales,
     weights_from_scales,
 )
-from hypoexp.core import _CANCELLATION_CLAMP, _EXP_UNDERFLOW, _block_rows
+from hypoexp.core import (
+    _BLOCK_ENTRIES,
+    _CANCELLATION_CLAMP,
+    _EXP_UNDERFLOW,
+    _block_rows,
+)
 from hypoexp.errors import (
     BinomialCapError,
     NegativeDensityError,
@@ -35,21 +36,31 @@ from hypoexp.errors import (
 )
 
 from conftest import MIN_RELATIVE_GAP, random_rates
-import reference
-from reference import enumerate_compositions, quantile_capped, sample_direct
+from reference import (
+    enumerate_compositions,
+    mixture_direct,
+    quantile_capped,
+    sample_direct,
+)
+
+
+#: Smallest step of log10(rate) between adjacent ``rate_lists`` rates: a
+#: relative gap of MIN_RELATIVE_GAP, with a margin for rounding.
+LOG_GAP = -math.log10(1.0 - MIN_RELATIVE_GAP) + 1e-9
 
 
 @st.composite
 def rate_lists(draw, max_n=8):
+    """2..max_n ascending rates in [1e-3, 1e3], adjacent relative gaps of at
+    least MIN_RELATIVE_GAP.
+
+    Drawn without filtering: n sorted offsets in [0, 6 - (n - 1) * LOG_GAP],
+    the i-th raised by i * LOG_GAP, are the rates' log10 above -3.
+    """
     n = draw(st.integers(2, max_n))
-    exponents = draw(
-        st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n, unique=True)
-    )
-    rates = sorted(10.0**e for e in exponents)
-    assume(
-        all((b - a) / b >= MIN_RELATIVE_GAP for a, b in zip(rates, rates[1:]))
-    )
-    return rates
+    room = 6.0 - (n - 1) * LOG_GAP - 1e-9
+    offsets = sorted(draw(st.lists(st.floats(0.0, room), min_size=n, max_size=n)))
+    return [10.0 ** (-3.0 + u + i * LOG_GAP) for i, u in enumerate(offsets)]
 
 
 class TestValidation:
@@ -350,6 +361,11 @@ class TestMoments:
         with pytest.raises(ValueError):
             dist12.moment(0)
 
+    def test_non_integer_order_rejected(self, dist12):
+        with pytest.raises(ValueError, match=r"k=2\.5 must be an integer"):
+            dist12.moment(2.5)
+        assert dist12.moment(np.int64(3)) == dist12.moment(3)
+
 
 #: Probabilities of the benchmark's quantile grid, and 1 - 1e-10, the default
 #: upper end of ``convolve_numeric``'s grid.
@@ -454,24 +470,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             dist12.sample(0, seed=0)
 
+    def test_non_integer_count_rejected(self, dist12):
+        with pytest.raises(ValueError, match=r"count=2\.5 must be an integer"):
+            dist12.sample(2.5, seed=1)
+        assert np.array_equal(dist12.sample(np.int64(3), seed=1), dist12.sample(3, seed=1))
 
-#: Rate counts of the bit-identity tests.  At n = 3, 5, 24 and 48 the entry
-#: budget 65536 // n is not a power of two, so a kernel that blocked by it
-#: would split rows off BLAS's grouping.
+
+#: Rate counts of the bit-identity tests.
 BLOCK_NS = (2, 3, 5, 8, 16, 24, 32, 48, 64)
-
-#: Child process that evaluates ``mixture_direct`` on every saved case.
-_ONE_SHOT_SCRIPT = """
-import sys
-import numpy as np
-from reference import mixture_direct
-z = np.load(sys.argv[1])
-ids = sorted({key.rsplit(".", 1)[0] for key in z.files})
-np.savez(sys.argv[2], **{
-    f"{i}.{form}": mixture_direct(z[f"{i}.x"], z[f"{i}.rates"], z[f"{i}.{form}"])
-    for i in ids for form in ("pdf", "sf")
-})
-"""
 
 
 def _spread_rates(rng, n):
@@ -507,7 +513,7 @@ def _gapped_grid(rates):
     block.  The first block starts at 0, where no column underflows; from
     the second block on every exponent is below -800, so every column does;
     the third block turns +inf halfway."""
-    block = _block_rows(len(rates))
+    block = _BLOCK_ENTRIES
     mean = math.fsum(1.0 / r for r in rates)
     sd = math.sqrt(math.fsum(1.0 / r**2 for r in rates))
     x = np.concatenate([
@@ -519,62 +525,35 @@ def _gapped_grid(rates):
     return x
 
 
-@pytest.fixture(scope="module")
-def one_shot_cases(tmp_path_factory):
-    """(dist, x, one-shot pdf mixture, one-shot survival mixture) per case id.
-
-    The one-shot formula runs in a child process with one BLAS thread: a
-    threaded ``gemv`` splits one large product among threads at a row that
-    depends on the thread count, and rows near the split then differ in the
-    last bits from the single-threaded product.
-    """
-    rng = np.random.default_rng(9)
-    cases, saved = {}, {}
-    for n in BLOCK_NS:
-        dist = HypoexpDistribution.from_rates(_spread_rates(rng, n))
-        rates = np.asarray(dist.rates.rates)
-        block = _block_rows(n)
-        xs = {}
-        for size in (0, 1, block - 1, block, block + 1, 3 * block + 5):
-            for kind, x in _block_grids(rates, size, rng).items():
-                xs[f"n{n}-m{size}-{kind}"] = x
-        grid = _block_grids(rates, 3 * block + 6, rng)["sorted"]
-        xs[f"n{n}-2d"] = grid.reshape(3, -1)
-        xs[f"n{n}-0d"] = np.array(rates.sum())
-        xs[f"gapped-n{n}"] = _gapped_grid(rates)  # NaN: compared apart
-        for cid, x in xs.items():
-            cases[cid] = (dist, x)
-            saved[f"{cid}.x"] = x
-            saved[f"{cid}.rates"] = rates
-            saved[f"{cid}.pdf"] = np.asarray(dist.weights.weights) * rates
-            saved[f"{cid}.sf"] = np.asarray(dist.weights.weights)
-    tmp = tmp_path_factory.mktemp("one_shot")
-    np.savez(tmp / "cases.npz", **saved)
-    path = os.pathsep.join([
-        os.path.dirname(reference.__file__),
-        os.path.dirname(os.path.dirname(hypoexp.__file__)),
-    ])
-    threads = dict.fromkeys(
-        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
-    )
-    subprocess.run(
-        [sys.executable, "-c", _ONE_SHOT_SCRIPT, tmp / "cases.npz", tmp / "out.npz"],
-        env=dict(os.environ, PYTHONPATH=path, **threads), check=True, timeout=300,
-    )
-    out = np.load(tmp / "out.npz")
+@pytest.fixture(scope="module", params=BLOCK_NS)
+def one_shot_cases(request):
+    """(dist, x, one-shot pdf mixture, one-shot survival mixture) per case id,
+    for n = ``request.param`` rates; pytest holds one n at a time."""
+    n, block = request.param, _BLOCK_ENTRIES
+    rng = np.random.default_rng([9, n])
+    dist = HypoexpDistribution.from_rates(_spread_rates(rng, n))
+    rates = np.asarray(dist.rates.rates)
+    xs = {}
+    for size in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+        for kind, x in _block_grids(rates, size, rng).items():
+            xs[f"m{size}-{kind}"] = x
+    xs["2d"] = _block_grids(rates, 3 * block + 6, rng)["sorted"].reshape(3, -1)
+    xs["0d"] = np.array(rates.sum())
+    xs["gapped"] = _gapped_grid(rates)  # NaN: compared apart
+    sf = np.asarray(dist.weights.weights)
+    pdf = sf * rates
     return {
-        cid: (dist, x, out[f"{cid}.pdf"], out[f"{cid}.sf"])
-        for cid, (dist, x) in cases.items()
+        cid: (dist, x, mixture_direct(x, rates, pdf), mixture_direct(x, rates, sf))
+        for cid, x in xs.items()
     }
 
 
 class TestBlockedKernels:
-    """Array evaluation and sampling in row blocks equal the one-shot formulas."""
+    """Array evaluation and sampling in blocks equal the one-shot formulas."""
 
-    @pytest.mark.parametrize("n", BLOCK_NS)
-    def test_array_evaluation_matches_one_shot(self, one_shot_cases, n):
+    def test_array_evaluation_matches_one_shot(self, one_shot_cases):
         for cid, (dist, x, pdf, sf) in one_shot_cases.items():
-            if not cid.startswith(f"n{n}-"):
+            if cid == "gapped":
                 continue
             assert pdf.shape == sf.shape == (x.size,), cid
             assert np.array_equal(dist.pdf(x), np.maximum(pdf, 0.0)), cid
@@ -582,10 +561,9 @@ class TestBlockedKernels:
             assert np.array_equal(dist.survival(x), survival), cid
             assert np.array_equal(dist.cdf(x), 1.0 - survival), cid
 
-    @pytest.mark.parametrize("n", BLOCK_NS)
-    def test_gapped_grid_matches_one_shot(self, one_shot_cases, n):
-        dist, x, pdf, sf = one_shot_cases[f"gapped-n{n}"]
-        block, slowest = _block_rows(n), dist.rates.rates[0]
+    def test_gapped_grid_matches_one_shot(self, one_shot_cases):
+        dist, x, pdf, sf = one_shot_cases["gapped"]
+        block, slowest = _BLOCK_ENTRIES, dist.rates.rates[0]
         assert x.size >= 3 * block and x[0] == 0.0
         assert np.isnan(x[:block]).any() and not np.isnan(x[block:]).any()
         assert x[block] * -slowest <= _EXP_UNDERFLOW  # every column dead from here
@@ -594,6 +572,14 @@ class TestBlockedKernels:
         survival = np.clip(sf, 0.0, 1.0)
         assert np.array_equal(dist.survival(x), survival, equal_nan=True)
         assert np.array_equal(dist.cdf(x), 1.0 - survival, equal_nan=True)
+
+    def test_descending_grid_is_reversed_ascending(self, one_shot_cases):
+        for size in (1, _BLOCK_ENTRIES - 1, _BLOCK_ENTRIES + 1, 3 * _BLOCK_ENTRIES + 5):
+            dist, up, _, _ = one_shot_cases[f"m{size}-sorted"]
+            down = one_shot_cases[f"m{size}-descending"][1]
+            assert np.array_equal(down, up[::-1]), size
+            for fn in (dist.pdf, dist.survival, dist.cdf):
+                assert np.array_equal(fn(down), fn(up)[::-1]), size
 
     def test_other_dtypes_evaluate_in_float64(self):
         dist = HypoexpDistribution.from_rates([1.0, 2.0, 5.0])
@@ -616,10 +602,12 @@ class TestBlockedKernels:
             assert np.array_equal(draws, expected), count
 
     def test_block_rows(self):
+        # at least 1024 rows, else the most that fit in the entry budget
         for n in BLOCK_NS + (90, 1000):
             rows = _block_rows(n)
-            assert rows >= 1024 and rows & (rows - 1) == 0, n
-            assert rows * n <= max(1 << 16, 1024 * n), n
+            assert rows >= 1024, n
+            assert rows * n <= max(_BLOCK_ENTRIES, 1024 * n), n
+            assert rows == 1024 or (rows + 1) * n > _BLOCK_ENTRIES, n
 
 
 class TestNonFiniteArguments:
@@ -655,11 +643,7 @@ class TestNonFiniteArguments:
 
 @st.composite
 def spaced_rates(draw, max_n=32):
-    """2..max_n ascending rates from 1e-3 up, adjacent gaps above 6%.
-
-    Drawn without filtering: ``rate_lists``' ``assume`` would reject most
-    draws of 32 rates.
-    """
+    """2..max_n ascending rates from 1e-3 up, adjacent gaps above 6%."""
     n = draw(st.integers(2, max_n))
     start = draw(st.floats(-3.0, 1.0))
     steps = draw(st.lists(st.floats(0.03, 0.25), min_size=n - 1, max_size=n - 1))
