@@ -321,12 +321,10 @@ class HypoexpDistribution:
         A term whose exponent is at or below ``_EXP_UNDERFLOW`` is exactly
         0.0 and is left out.
 
-        A sorted block is taken ascending (a descending one through its
-        reversed copy).  Then x * -lambda_j falls along the block and, as the
-        rates ascend, from column to column: the first column dead at the
-        block's first point ends the loop, and every other column stops at
-        its last live point.  Any other block, NaN included, takes a masked
-        ``exp``.
+        On an ascending block x * -lambda_j falls along the block: a rate
+        dead at the block's first point is skipped, and every other rate
+        stops at its last live point.  Any other block, NaN included, takes
+        a masked ``exp``.
         """
         import numpy as np
         x = np.asarray(x, dtype=float).ravel()  # the underflow bound is float64's
@@ -334,23 +332,22 @@ class HypoexpDistribution:
         buf = np.empty(min(x.size, _BLOCK_ENTRIES))
         for start in range(0, x.size, _BLOCK_ENTRIES):
             xs, ys = x[start:start + _BLOCK_ENTRIES], out[start:start + _BLOCK_ENTRIES]
-            xb, ob = (xs[::-1].copy(), ys[::-1]) if xs[-1] < xs[0] else (xs, ys)
-            lo, hi = float(xb[0]), float(xb[-1])
+            lo, hi = float(xs[0]), float(xs[-1])
             # NaN fails every comparison, so a block holding one is not sorted
-            ordered = lo <= hi and (xb[:-1] <= xb[1:]).all()
+            ordered = lo <= hi and (xs[:-1] <= xs[1:]).all()
             for c, nl in zip(coeffs, self._neg_rates):
                 if not ordered:
-                    t = np.multiply(xb, nl, out=buf[:xb.size])
+                    t = np.multiply(xs, nl, out=buf[:xs.size])
                     np.exp(t, out=t, where=t > _EXP_UNDERFLOW)
                     np.maximum(t, 0.0, out=t)  # masked lanes still hold exponents < 0
                 elif lo * nl <= _EXP_UNDERFLOW:
-                    break  # dead at the first point, as is every later rate
+                    continue  # dead on the whole block
                 else:
-                    cut = xb.size if hi * nl > _EXP_UNDERFLOW else _live_prefix(xb, nl)
-                    t = np.multiply(xb[:cut], nl, out=buf[:cut])
+                    cut = xs.size if hi * nl > _EXP_UNDERFLOW else _live_prefix(xs, nl)
+                    t = np.multiply(xs[:cut], nl, out=buf[:cut])
                     np.exp(t, out=t)
                 t *= c
-                ob[:t.size] += t
+                ys[:t.size] += t
             if np.fmin.reduce(ys) < 0.0:  # only then the clamp; fmin skips NaN
                 neg = np.flatnonzero(ys < 0.0)
                 xn, largest = xs[neg], np.zeros(neg.size)

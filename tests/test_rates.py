@@ -20,6 +20,7 @@ from hypoexp import (
     weights_from_scales,
 )
 from hypoexp.core import (
+    RateVector,
     _BLOCK_ENTRIES,
     _CANCELLATION_CLAMP,
     _EXP_UNDERFLOW,
@@ -573,13 +574,17 @@ class TestBlockedKernels:
         assert np.array_equal(dist.survival(x), survival, equal_nan=True)
         assert np.array_equal(dist.cdf(x), 1.0 - survival, equal_nan=True)
 
-    def test_descending_grid_is_reversed_ascending(self, one_shot_cases):
-        for size in (1, _BLOCK_ENTRIES - 1, _BLOCK_ENTRIES + 1, 3 * _BLOCK_ENTRIES + 5):
-            dist, up, _, _ = one_shot_cases[f"m{size}-sorted"]
-            down = one_shot_cases[f"m{size}-descending"][1]
-            assert np.array_equal(down, up[::-1]), size
-            for fn in (dist.pdf, dist.survival, dist.cdf):
-                assert np.array_equal(fn(down), fn(up)[::-1]), size
+    def test_rates_in_any_order(self):
+        """A rate dead on a whole sorted block leaves the later rates alone,
+        whatever order the rates come in."""
+        rates = RateVector((800.0, 1.0))  # the constructor does not sort
+        dist = HypoexpDistribution(rates, lagrange_weights(rates))
+        x = np.linspace(1.0, 5.0, 1000)  # 800 * x is past the underflow bound
+        coeffs = np.asarray(dist.weights.weights)
+        survival = dist.survival(x)
+        assert survival[0] > 0.3
+        assert np.array_equal(survival, np.clip(mixture_direct(x, rates.rates, coeffs), 0.0, 1.0))
+        assert survival[0] == pytest.approx(dist.survival(1.0), rel=1e-14)
 
     def test_other_dtypes_evaluate_in_float64(self):
         dist = HypoexpDistribution.from_rates([1.0, 2.0, 5.0])
