@@ -81,11 +81,16 @@ def _format(payload: dict, fmt: str) -> str:
 def _read_reals(source: str, option: str) -> list[float]:
     """Inline JSON array, a single-column CSV/text path, or '-' for stdin.
 
-    Raises ValueError naming ``option`` on a NaN or infinite entry.
+    Raises ValueError naming ``option`` on a JSON entry that is not a number
+    (null, true/false, a string, a list) and on a NaN or infinite entry.
     """
     text = source.strip()
     if text.startswith("["):
-        out = [float(v) for v in json.loads(text)]
+        out = []
+        for v in json.loads(text):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"--{option}: entry {v!r} is not a real number")
+            out.append(float(v))
     else:
         if text == "-":
             raw = sys.stdin.read()
@@ -111,6 +116,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite value {value!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: negative seeds are usage errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative value {value}")
     return value
 
 
@@ -162,7 +178,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="deterministic draws from the distribution")
     p.add_argument("--rates", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("laplace", help="Laplace transform in product and mixture form")
     p.add_argument("--rates", required=True)
@@ -211,7 +227,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="path, '-' for stdin, or JSON array")
     p.add_argument("--scales", required=True)
     p.add_argument("--alpha", type=_finite_float, default=0.01)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     return parser
 

@@ -444,8 +444,10 @@ class HypoexpDistribution:
 
         Each component is -log(U)/lambda_i with U uniform on (0, 1].  Draws
         are made in row blocks of ``_block_rows(n)``, which consume the
-        generator's stream in the same order as one (count, n) draw, so the
-        values equal the one-shot formula bit for bit.
+        generator's stream in the same order as one (count, n) draw.  Each
+        block's sums are one contraction, ``np.einsum("ij,j->i", log(U),
+        -1/lambda)``, which calls no BLAS, so the values equal that
+        contraction over the one-shot (count, n) draw bit for bit.
         """
         count = _integer("count", count)
         if count < 1:
@@ -453,15 +455,12 @@ class HypoexpDistribution:
         import numpy as np
         rng = np.random.default_rng(seed)
         rows = _block_rows(self.n)
-        # one flat division per block: broadcasting a row of n would loop per row
-        neg_lam = np.tile(self._neg_rates, min(rows, count))
+        neg_scales = np.reciprocal(self._neg_rates)  # -1/lambda_j
         out = np.empty(count)
         for start in range(0, count, rows):
             u = rng.random((min(rows, count - start), self.n))
             np.subtract(1.0, u, out=u)  # maps [0,1) onto (0,1]
-            flat = np.log(u, out=u).reshape(-1)
-            np.divide(flat, neg_lam[:flat.size], out=flat)  # == -log(u)/lambda exactly
-            u.sum(axis=1, out=out[start:start + rows])
+            np.einsum("ij,j->i", np.log(u, out=u), neg_scales, out=out[start:start + rows])
         return out
 
 

@@ -94,16 +94,24 @@ def ks_critical(alpha: float, n: int) -> float:
 
 
 def ks_distance(samples: Sequence[float], cdf: Callable) -> float:
-    """One-sample KS statistic: sup deviation of the empirical cdf."""
+    """One-sample KS statistic: sup deviation of the empirical cdf.
+
+    ValueError when there is no sample, when a sample is NaN or when the cdf
+    returns NaN; +inf samples are valid.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n == 0:
         raise ValueError("need at least one sample")
+    if np.isnan(x[-1]):  # the sort puts NaN last
+        raise ValueError("samples hold NaN")
     f = np.asarray(cdf(x), dtype=float)
     steps = np.arange(1, n + 1) / n
-    return float(
-        max(np.max(steps - f), np.max(f - (steps - 1.0 / n)))
-    )
+    # a NaN in f makes both maxima NaN
+    distance = float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+    if math.isnan(distance):
+        raise ValueError("cdf returned NaN")
+    return distance
 
 
 def convolve_numeric(

@@ -432,6 +432,51 @@ class TestNonFiniteInput:
         assert f"argument {option}: non-finite value" in captured.err
 
 
+class TestNonNumericEntry:
+    """JSON entries that are not numbers exit 1 naming the option, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pdf", "--rates", "[1, null]", "--x", "[1]"], "--rates: entry None"),
+            (["pdf", "--rates", "[1, 2]", "--x", "[[1]]"], "--x: entry [1]"),
+            (["pdf", "--rates", "[1, 2]", "--x", "[true]"], "--x: entry True"),
+            (["quantile", "--rates", "[1, 2]", "--p", "[false]"], "--p: entry False"),
+            (["weights", "--scales", '[1, "0.5"]'], "--scales: entry '0.5'"),
+            (["test-exponential", "--data", "[1, {}]", "--scales", "[1, 0.5]"],
+             "--data: entry {}"),
+        ],
+    )
+    def test_exits_one_naming_option(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message} is not a real number\n"
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--rates", "[1, 2]", "--n", "3", "--seed", "-1"],
+            ["test-exponential", "--data", "[1, 2]", "--scales", "[1, 0.5]", "--seed=-5"],
+        ],
+    )
+    def test_usage_error_naming_seed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "argument --seed: negative value" in captured.err
+
+    def test_zero_seed_draws(self, capsys):
+        code, out, _ = run(capsys, "sample", "--rates", "[1, 2]", "--n", "3", "--seed", "0")
+        assert code == 0
+        expected = HypoexpDistribution.from_rates([1.0, 2.0]).sample(3, seed=0)
+        assert json.loads(out)["samples"] == list(expected)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

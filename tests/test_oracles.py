@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,19 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance([], lambda x: x)
+
+    def test_nan_rejected(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0])
+        with pytest.raises(ValueError, match="samples hold NaN"):
+            ks_distance([0.5, math.nan, 1.0], dist.cdf)
+        with pytest.raises(ValueError, match="cdf returned NaN"):
+            ks_distance([0.5, 1.0], lambda x: np.where(x > 0.7, np.nan, 0.5))
+
+    def test_infinite_sample_valid(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0])
+        # the empirical cdf steps to 1/2 at 1 and to 1 at +inf, where cdf = 1
+        stat = ks_distance([1.0, math.inf], dist.cdf)
+        assert stat == max(dist.cdf(1.0), 0.5)
 
     def test_critical_values(self):
         assert ks_critical(0.05, 100) == pytest.approx(0.136)

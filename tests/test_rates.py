@@ -601,10 +601,28 @@ class TestBlockedKernels:
         rates = _spread_rates(np.random.default_rng(n), n)
         dist = HypoexpDistribution.from_rates(rates)
         block = _block_rows(n)
-        for count in (1, block - 1, block + 1, 10**5):
+        for count in (1, 2, block - 1, block, block + 1, 2 * block, 10**5):
             draws = dist.sample(count, seed=count)
             expected = sample_direct(dist.rates.rates, count, count)
             assert np.array_equal(draws, expected), count
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_sample_keeps_the_stream(self, n):
+        """The same uniforms feed the same components as the divide-and-sum
+        formula: the two differ only by rounding.  Each sum of n positive
+        terms is off from the exact one by at most (n - 1) eps/2 relative,
+        and the two terms -log(u)/lambda and log(u) * (-1/lambda) by at
+        most 3 eps/2, so the two draws differ by less than (n + 1) eps
+        relative."""
+        rates = _spread_rates(np.random.default_rng(n), n)
+        dist = HypoexpDistribution.from_rates(rates)
+        lam = np.asarray(dist.rates.rates)
+        count = 2 * _block_rows(n) + 1
+        u = 1.0 - np.random.default_rng(n).random((count, n))
+        divided = (-np.log(u) / lam).sum(axis=1)
+        draws = dist.sample(count, seed=n)
+        bound = (n + 1) * np.finfo(float).eps * divided
+        assert (np.abs(draws - divided) <= bound).all()
 
     def test_block_rows(self):
         # at least 1024 rows, else the most that fit in the entry budget
