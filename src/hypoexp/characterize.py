@@ -21,9 +21,12 @@ with one product chain and no signed sums.  This module computes the
 per-order residuals of both equations, the structural coefficients
 c_k = p_k - h_k and d_k = h_{k-1} (p_k = sum_i mu_i^k) that make each order's
 equation linear in the highest unknown, and forward-solves those recursions
-to exhibit the unique (exponential) solution at truncation order.  One walk
-serves residuals and solves alike: it grows P and b one order at a time and
-either reports each order's residual or solves that order for a_k.
+to exhibit the unique (exponential) solution at truncation order.  -c_k is
+the sum of the mixed monomials of degree k, those in two or more distinct
+scales, all positive: it is summed in the same pass as h_k, with no
+subtraction, so no sign needs checking.  One walk serves residuals and
+solves alike: it grows P and b one order at a time and either reports each
+order's residual or solves that order for a_k.
 
 Reading residuals: the order-k residual is judged against tol times the
 largest term of that order.  When a_1 * max(mu) > 1 those terms grow like
@@ -46,7 +49,7 @@ from .core import (
     lagrange_weights,
     report_dict,
 )
-from .errors import NotNormalizedError, StructureViolationError, ZeroDivisorError
+from .errors import NotNormalizedError, ZeroDivisorError
 from .series import ScaledProducts, Series, append_reciprocal
 
 #: Default truncation order for solvers and residual sweeps.
@@ -94,10 +97,10 @@ class StructuralCoefficients:
     ``kind`` is "c" (density-form equation: c_1 = 0, c_k < 0 for k >= 2) or
     "d" (survival-form equation: d_1 = 1, d_k > 0 for k >= 2).
     ``values[k-1]`` holds the coefficient at order k; ``term_scales[k-1]``
-    records the largest term magnitude entering it (max(p_k, h_k) for c,
-    h_{k-1} itself for d), the natural reference for "numerically zero"
-    decisions (the coefficients themselves decay geometrically when all
-    scales are below one).
+    records the scale it is judged against (h_k for c, h_{k-1} itself for
+    d), the natural reference for "numerically zero" decisions (the
+    coefficients themselves decay geometrically when all scales are below
+    one).
     """
 
     kind: str
@@ -186,39 +189,47 @@ def _terms(
     return terms, scale
 
 
+def _sums(scales: tuple[float, ...], order: int) -> tuple[list[float], list[float]]:
+    """h_0..h_order of the scales and the mixed sums m_0..m_order, in one pass.
+
+    m_k = h_k - p_k sums the degree-k monomials in two or more distinct
+    scales, so c_k = -m_k, here without a subtraction: scale x adds
+    x^j * h_(k-j), j = 1..k-1, held in r.  h is updated as in
+    ``complete_homogeneous_table`` and equals that table bit for bit.
+    """
+    h = [1.0] + [0.0] * order
+    m = [0.0] * (order + 1)
+    for x in scales:
+        r = 0.0
+        for k in range(1, order + 1):
+            m[k] += x * r
+            r = h[k] + x * r
+            h[k] += x * h[k - 1]
+    return h, m
+
+
+def _check_finite(h: list[float]) -> None:
+    """Raise OverflowError naming the first infinite h_k (every later one is
+    infinite too, and m_k < h_k)."""
+    if h[-1] == math.inf:
+        raise _beyond(f"complete homogeneous sum h_{h.index(math.inf)} of the scales")
+
+
 def c_coefficients(
     mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
 ) -> StructuralCoefficients:
-    """c_k = p_k - h_k(mu) = sum_i mu_i^k - sum_j w_j mu_j^k for k = 1..order.
+    """c_k = p_k - h_k(mu) = -(sum of the mixed monomials of degree k), k = 1..order.
 
-    Checks the structural signs (c_1 = 0 within tolerance, c_k < 0 for
-    k >= 2) and raises StructureViolationError when they fail: both hold in
-    exact arithmetic, so a failure means p_k - h_k cancelled or underflowed.
+    Every mixed monomial is positive, so c_k is summed from them without
+    cancellation: c_1 is +0.0, and c_k < 0 for k >= 2 unless the mixed sum
+    underflows to 0.0.  Nothing is left to check, so ``tol`` is only
+    validated.  The term scale of c_k is h_k.
     """
     _check_order(order)
     check_tol(tol)
-    h = complete_homogeneous_table(mu.scales, order)
-    values = []
-    scales = []
-    for k in range(1, order + 1):
-        try:
-            pk = math.fsum(m**k for m in mu.scales)
-        except OverflowError:
-            raise _beyond(f"power sum p_{k} of the scales") from None
-        if h[k] == math.inf:
-            raise _beyond(f"complete homogeneous sum h_{k} of the scales")
-        ck = pk - h[k]
-        scale = max(pk, h[k])
-        if k == 1:
-            if not _scaled_ok(ck, scale, tol):
-                raise StructureViolationError(
-                    f"c_1 = {ck!r} not zero within scaled tolerance {tol!r}"
-                )
-        elif ck >= 0.0:
-            raise StructureViolationError(f"c_{k} = {ck!r} is not negative")
-        values.append(ck)
-        scales.append(scale)
-    return StructuralCoefficients("c", tuple(values), tuple(scales))
+    h, m = _sums(mu.scales, order)
+    _check_finite(h)
+    return StructuralCoefficients("c", tuple(0.0 - v for v in m[1:]), tuple(h[1:]))
 
 
 def d_coefficients(
@@ -232,8 +243,7 @@ def d_coefficients(
     _check_order(order)
     check_tol(tol)
     h = complete_homogeneous_table(mu.scales, order - 1)
-    if h[-1] == math.inf:
-        raise _beyond(f"complete homogeneous sum h_{h.index(math.inf)} of the scales")
+    _check_finite(h)
     return StructuralCoefficients("d", tuple(h), tuple(h))
 
 
@@ -307,38 +317,28 @@ def _normalize(psi: Series) -> Series:
         ) from None
 
 
-def _moments(mu: ScaleVector, order: int, survival: bool) -> list[float]:
-    """m_0..m_order with sum_j mix_j b(mu_j t) = sum_k b_k m_k t^k.
-
-    Density form, mix_j = w_j: m_k = h_k(mu).  Survival form, mix_j = w_j / mu_j:
-    m_k = h_{k-1}(mu) and m_0 = 0.
-    """
-    h = complete_homogeneous_table(mu.scales, order)
-    return [0.0] + h[:order] if survival else h
-
-
 def _orders(
-    mu: ScaleVector,
-    coeffs: list[float],
-    survival: bool,
-    divisors: Optional[StructuralCoefficients] = None,
+    mu: ScaleVector, coeffs: list[float], survival: bool, solve: bool = False
 ) -> tuple[list[float], list[float]]:
-    """Order by order, the coefficient of P(t) * sum_k b_k m_k t^k minus the target.
+    """Order by order, the coefficient of P(t) * sum_k b_k g_k t^k minus the target.
 
     P = prod_i psi(mu_i t) and b = 1/psi, psi = sum_k coeffs[k] t^k, grow one
-    order per step.  Without ``divisors``: each order's residual and largest
-    term.  With them, a_k from the first free order up is unknown and 0 in
-    ``coeffs``: order k reads value - s * L_k * a_k = 0, value being its
-    residual at a_k = 0 (a_k enters P_k as p_k a_k and b_k as -a_k).  Survival
-    form: s = +1, L = d, free from order 1.  Density form: s = -1, L = c, free
-    from order 2.  Solved, a_k replaces its 0, order k is grown again with it,
-    and the lists stay empty.  Raises OverflowError naming the order where P,
-    b, the residual or a solved a_k leaves the float range.
+    order per step; g_k is h_k(mu) (density form) or h_{k-1}(mu), g_0 = 0
+    (survival form).  Without ``solve``: each order's residual and largest
+    term.  With it, a_k from the first free order up is unknown and 0 in
+    ``coeffs``: order k reads value - L_k * a_k = 0, value being its residual
+    at a_k = 0 (a_k enters P_k as p_k a_k and b_k as -a_k).  Survival form:
+    L_k = d_k, free from order 1.  Density form: L_k = -c_k = m_k, free from
+    order 2.  Solved, a_k replaces its 0, order k is grown again with it, and the
+    lists stay empty.  Raises OverflowError naming the order where P, b, the
+    residual or a solved a_k leaves the float range.
     """
-    sign, first = (1.0, 1) if survival else (-1.0, 2)
     target = {1: -1.0} if survival else {0: 1.0}  # the right-hand side, -t or 1
     last = len(coeffs) - 1
-    moments = _moments(mu, last, survival)
+    h, mixed = _sums(mu.scales, last - 1 if survival else last)
+    moments = [0.0] + h if survival else h
+    if solve:
+        _check_finite(h)
     chain = ScaledProducts(mu.scales)
     product = chain.product
     recip: list[float] = []
@@ -347,20 +347,19 @@ def _orders(
         for k in range(last + 1):
             chain.grow(coeffs[k])
             append_reciprocal(coeffs, recip)
-            if divisors is not None and k < first:
+            if solve and k < (1 if survival else 2):
                 continue
             terms = [product[i] * recip[k - i] * moments[k - i] for i in range(k + 1)]
             value = math.fsum(terms) - target.get(k, 0.0)
-            if divisors is not None:
-                lk = divisors.at(k)
-                if abs(lk) <= 1e-13 * divisors.scale_at(k):
-                    raise ZeroDivisorError(
-                        f"{divisors.kind}_{k} = {lk!r} is numerically zero"
-                    )
-                value /= sign * lk
+            if solve:
+                lk, scale = (h[k - 1], h[k - 1]) if survival else (mixed[k], h[k])
+                if lk <= 1e-13 * scale:
+                    name = f"d_{k} = {lk!r}" if survival else f"c_{k} = {0.0 - lk!r}"
+                    raise ZeroDivisorError(f"{name} is numerically zero")
+                value /= lk
             if not math.isfinite(value):
                 raise OverflowError
-            if divisors is None:
+            if not solve:
                 residuals.append(value)
                 scales.append(max(abs(t) for t in terms))
                 continue
@@ -448,7 +447,7 @@ def forward_solve_theorem1(
     if not 0.0 < a1 < math.inf:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
     coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
-    _orders(mu, coeffs, False, c_coefficients(mu, order, tol))
+    _orders(mu, coeffs, False, solve=True)
     return Series(tuple(coeffs))
 
 
@@ -464,7 +463,7 @@ def forward_solve_theorem2(
     _check_order(order)
     check_tol(tol)
     coeffs = [1.0] + [0.0] * order
-    _orders(mu, coeffs, True, d_coefficients(mu, order, tol))
+    _orders(mu, coeffs, True, solve=True)
     return Series(tuple(coeffs))
 
 

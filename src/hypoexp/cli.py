@@ -81,30 +81,38 @@ def _format(payload: dict, fmt: str) -> str:
 def _read_reals(source: str, option: str) -> list[float]:
     """Inline JSON array, a single-column CSV/text path, or '-' for stdin.
 
-    Raises ValueError naming ``option`` on a JSON entry that is not a number
-    (null, true/false, a string, a list) and on a NaN or infinite entry.
+    Raises ValueError naming ``option`` on malformed JSON, on an entry that
+    is not a number (JSON null, true/false, a string, a list; a CSV line
+    that does not parse), on a JSON integer beyond the float range and on a
+    NaN or infinite entry.
     """
     text = source.strip()
     if text.startswith("["):
-        out = []
-        for v in json.loads(text):
+        try:
+            entries = json.loads(text)
+        except ValueError as exc:  # malformed JSON, or an integer of over 4300 digits
+            raise ValueError(f"--{option}: {exc}") from None
+        for v in entries:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"--{option}: entry {v!r} is not a real number")
-            out.append(float(v))
     else:
         if text == "-":
             raw = sys.stdin.read()
         else:
             with open(text) as fh:
                 raw = fh.read()
-        out = []
-        for line in raw.splitlines():
-            line = line.split(",")[0].strip()
-            if line:
-                out.append(float(line))
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"--{option}: non-finite value {v!r}")
+        entries = [v for v in (ln.split(",")[0].strip() for ln in raw.splitlines()) if v]
+    out = []
+    for v in entries:
+        try:
+            x = float(v)
+        except ValueError:
+            raise ValueError(f"--{option}: entry {v!r} is not a real number") from None
+        except OverflowError:
+            raise ValueError(f"--{option}: integer entry beyond the float range") from None
+        if not math.isfinite(x):
+            raise ValueError(f"--{option}: non-finite value {x!r}")
+        out.append(x)
     return out
 
 

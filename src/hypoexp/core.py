@@ -323,8 +323,8 @@ class HypoexpDistribution:
 
         On an ascending block x * -lambda_j falls along the block: a rate
         dead at the block's first point is skipped, and every other rate
-        stops at its last live point.  Any other block, NaN included, takes
-        a masked ``exp``.
+        stops at one search just past its last live point.  Any other block,
+        NaN included, takes a masked ``exp``.
         """
         import numpy as np
         x = np.asarray(x, dtype=float).ravel()  # the underflow bound is float64's
@@ -343,7 +343,9 @@ class HypoexpDistribution:
                 elif lo * nl <= _EXP_UNDERFLOW:
                     continue  # dead on the whole block
                 else:
-                    cut = xs.size if hi * nl > _EXP_UNDERFLOW else _live_prefix(xs, nl)
+                    # a live point lies below _EXP_UNDERFLOW / nl * (1 + 3u); the
+                    # few dead points the search takes in add exp(t) == 0.0
+                    cut = xs.searchsorted(_EXP_UNDERFLOW / nl * (1.0 + 1e-15), "right")
                     t = np.multiply(xs[:cut], nl, out=buf[:cut])
                     np.exp(t, out=t)
                 t *= c
@@ -462,18 +464,6 @@ class HypoexpDistribution:
             np.subtract(1.0, u, out=u)  # maps [0,1) onto (0,1]
             np.einsum("ij,j->i", np.log(u, out=u), neg_scales, out=out[start:start + rows])
         return out
-
-
-def _live_prefix(xb: np.ndarray, nl: float) -> int:
-    """Count of the leading points of ascending xb with xb * nl above
-    ``_EXP_UNDERFLOW``: a search for ``_EXP_UNDERFLOW / nl``, then exact
-    tests that step over runs of equal points."""
-    cut = xb.searchsorted(_EXP_UNDERFLOW / nl)
-    while cut < xb.size and xb[cut] * nl > _EXP_UNDERFLOW:
-        cut = xb.searchsorted(xb[cut], "right")
-    while cut and xb[cut - 1] * nl <= _EXP_UNDERFLOW:
-        cut = xb.searchsorted(xb[cut - 1], "left")
-    return int(cut)
 
 
 def _cancelled(name: str, x: float, value: float, clamp: float) -> NegativeDensityError:

@@ -13,7 +13,8 @@ definitions for rational scales.
 ``convolve_direct`` is the trapezoid convolution oracle by direct
 ``np.convolve``, O(m^2) per stage; the FFT product in
 ``hypoexp.oracles.convolve_numeric`` must match it to rounding.
-``mixture_direct`` and ``sample_direct`` are the one-shot array formulas of
+``mixture_direct`` (``mixtures_direct`` for several coefficient lists at
+once) and ``sample_direct`` are the one-shot array formulas of
 ``HypoexpDistribution``, with every temporary the size of the whole input;
 the blocked kernels, which skip the exponentials that underflow, must match
 them bit for bit.
@@ -280,11 +281,21 @@ def mixture_direct(
 ) -> np.ndarray:
     """sum_j coeffs_j * exp(-rates_j * x) at every entry of x, flat, in one
     shot: the terms added one rate at a time, j = 0..n-1."""
+    return mixtures_direct(x, rates, coeffs)[0]
+
+
+def mixtures_direct(
+    x: np.ndarray, rates: Sequence[float], *coeffs: Sequence[float]
+) -> list[np.ndarray]:
+    """``mixture_direct`` for each coefficient list in ``coeffs``, with each
+    exp(-rates_j * x) computed once for all of them."""
     x = np.asarray(x, dtype=float).ravel()
-    out = np.zeros(x.size)
-    for c, lam in zip(coeffs, rates):
-        out += c * np.exp(-lam * x)
-    return out
+    outs = [np.zeros(x.size) for _ in coeffs]
+    for j, lam in enumerate(rates):
+        e = np.exp(-lam * x)
+        for out, c in zip(outs, coeffs):
+            out += c[j] * e
+    return outs
 
 
 def sample_direct(rates: Sequence[float], count: int, seed: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from hypoexp.characterize import (
     _normalize,
     _orders,
 )
-from hypoexp.errors import HypoexpError, NotNormalizedError
+from hypoexp.errors import HypoexpError, NotNormalizedError, ZeroDivisorError
 
 from conftest import random_scales
 from reference import (
@@ -84,6 +84,54 @@ class TestStructuralCoefficients:
                 values = d_coefficients(mu, 12).values
                 assert values[0] == pytest.approx(1.0, rel=1e-10)
                 assert all(d > 0.0 for d in values[1:])
+
+
+def spread_sweep():
+    """200 scale sets, n = 2..12, log-uniform over e^-25..e^3."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        yield validate_scales(list(np.exp(rng.uniform(-25.0, 3.0, n))))
+
+
+class TestMixedSums:
+    """-c_k, the sum of the mixed monomials of degree k, summed without cancellation."""
+
+    def test_c_matches_fractions_on_spread_sweep(self):
+        order = 16
+        for mu in spread_sweep():
+            c = c_coefficients(mu, order).values
+            # exact h_k and p_k over a common power-of-two denominator D
+            ratios = [x.as_integer_ratio() for x in mu.scales]
+            den = max(d for _, d in ratios)
+            ints = [num * (den // d) for num, d in ratios]
+            h = [1] + [0] * order
+            for x in ints:
+                for k in range(1, order + 1):
+                    h[k] += x * h[k - 1]
+            for k in range(2, order + 1):
+                exact = Fraction(sum(x**k for x in ints) - h[k], den**k)
+                assert abs(Fraction(c[k - 1]) - exact) <= 1e-14 * abs(exact), (mu, k)
+
+    def test_c_first_order_is_positive_zero(self):
+        for mu in [MU2, *spread_sweep()]:
+            c1 = c_coefficients(mu, 3).at(1)
+            assert c1 == 0.0 and math.copysign(1.0, c1) == 1.0
+
+    @pytest.mark.parametrize("e", range(13, 18))
+    def test_tiny_second_scale(self, e):
+        """c_2 = -x for scales (1, x); the solve stops on the zero divisor."""
+        x = float(f"1e-{e}")
+        mu = validate_scales([1.0, x])
+        assert c_coefficients(mu, 4).at(2) == -x
+        with pytest.raises(ZeroDivisorError, match=f"^c_2 = {-x!r} is numerically zero$"):
+            forward_solve_theorem1(mu, 1.0, 4)
+
+    def test_d_is_complete_homogeneous_table(self):
+        for mu in spread_sweep():
+            assert d_coefficients(mu, 16).values == tuple(
+                complete_homogeneous_table(mu.scales, 15)
+            )
 
 
 class TestLemma2Check:

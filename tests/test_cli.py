@@ -337,7 +337,7 @@ class TestArithmeticErrorNamed:
             (["moments", "--rates", "[1e-200, 2e-200]", "--k", "1"],
              "moment of order 2 is beyond the float range"),
             (["coeffs", "--which", "c", "--scales", "[1e200, 1e100]", "--K", "3"],
-             "power sum p_2 of the scales is beyond the float range"),
+             "complete homogeneous sum h_2 of the scales is beyond the float range"),
             (["verify-lemma2", "--rates", "[1e-200, 1e-100]", "--K", "3"],
              "Lemma 2 term w_j / lambda_j^2 is beyond the float range"),
             (["moments", "--rates", "[1, 2]", "--k", "200"],
@@ -452,6 +452,31 @@ class TestNonNumericEntry:
         assert code == 1
         assert out == ""
         assert err == f"error: {message} is not a real number\n"
+
+    def test_csv_line_not_a_number(self, capsys, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_text("1.0\nabc, 2\n")
+        assert run(capsys, "weights", "--rates", str(path)) == (
+            1, "", "error: --rates: entry 'abc' is not a real number\n"
+        )
+
+    def test_stdin_line_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.5\n1..5\n"))
+        assert run(capsys, "pdf", "--rates", "[1, 2]", "--x", "-") == (
+            1, "", "error: --x: entry '1..5' is not a real number\n"
+        )
+
+    def test_json_integer_beyond_float_range(self, capsys):
+        big = "1" + "0" * 400
+        assert run(capsys, "weights", "--rates", f"[1, {big}]") == (
+            1, "", "error: --rates: integer entry beyond the float range\n"
+        )
+
+    @pytest.mark.parametrize("rates", ["[1, 2", "[1, 1" + "0" * 5000 + "]"])
+    def test_unparsable_json_names_option(self, capsys, rates):
+        code, out, err = run(capsys, "weights", "--rates", rates)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --rates: ")
 
 
 class TestNegativeSeed:
