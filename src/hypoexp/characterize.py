@@ -55,7 +55,8 @@ from .series import ScaledProducts, Series, append_reciprocal
 #: Default truncation order for solvers and residual sweeps.
 DEFAULT_ORDER = 16
 
-#: Default scaled tolerance for residual verdicts and structural checks.
+#: Default scaled tolerance of residual verdicts, the Lemma 2 sweep and the
+#: exponential-series test.
 DEFAULT_TOL = 1e-10
 
 VERDICT_COMPATIBLE = "exponential-compatible"
@@ -215,33 +216,25 @@ def _check_finite(h: list[float]) -> None:
         raise _beyond(f"complete homogeneous sum h_{h.index(math.inf)} of the scales")
 
 
-def c_coefficients(
-    mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
-) -> StructuralCoefficients:
+def c_coefficients(mu: ScaleVector, order: int) -> StructuralCoefficients:
     """c_k = p_k - h_k(mu) = -(sum of the mixed monomials of degree k), k = 1..order.
 
     Every mixed monomial is positive, so c_k is summed from them without
     cancellation: c_1 is +0.0, and c_k < 0 for k >= 2 unless the mixed sum
-    underflows to 0.0.  Nothing is left to check, so ``tol`` is only
-    validated.  The term scale of c_k is h_k.
+    underflows to 0.0.  The term scale of c_k is h_k.
     """
     _check_order(order)
-    check_tol(tol)
     h, m = _sums(mu.scales, order)
     _check_finite(h)
     return StructuralCoefficients("c", tuple(0.0 - v for v in m[1:]), tuple(h[1:]))
 
 
-def d_coefficients(
-    mu: ScaleVector, order: int, tol: float = DEFAULT_TOL
-) -> StructuralCoefficients:
+def d_coefficients(mu: ScaleVector, order: int) -> StructuralCoefficients:
     """d_k = h_{k-1}(mu) = sum_j w_j mu_j^(k-1) for k = 1..order.
 
-    d_1 = h_0 = 1 and d_k > 0 hold by construction, so ``tol`` is only
-    validated.
+    d_1 = h_0 = 1 and d_k > 0 hold by construction.
     """
     _check_order(order)
-    check_tol(tol)
     h = complete_homogeneous_table(mu.scales, order - 1)
     _check_finite(h)
     return StructuralCoefficients("d", tuple(h), tuple(h))

@@ -1,9 +1,11 @@
 """Command-line surface with deterministic, machine-readable output.
 
-Every subcommand is a thin adapter over one library call; JSON output prints
-reals with 17 significant digits so values round-trip bit-faithfully, and all
-defaults (truncation order, tolerance, seed) are echoed in the output.  A
-result that overflows or is not a finite float exits 1 with nothing on stdout.
+Every subcommand is a thin adapter over one library call.  Output goes
+through ``json.dumps``, which prints each float as its shortest round-trip
+repr, so values reparse bit for bit; ``--format table`` prints one
+``key = <JSON value>`` line per field.  All defaults (truncation order,
+tolerance, seed) are echoed in the output.  A result that overflows or is
+not a finite float exits 1 with nothing on stdout.
 
 ``main(argv)`` may be called any number of times in one process: the parser
 is built on the first call and reused by every later one, so ``import
@@ -47,35 +49,12 @@ EXIT_USAGE = 1
 EXIT_REJECT = 2
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"result {value!r} is not a finite float")
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return (
-            "{"
-            + ", ".join(
-                f"{json.dumps(str(k))}: {_format_value(v)}"
-                for k, v in value.items()
-            )
-            + "}"
-        )
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _format(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return _format_value(payload)
-    return "\n".join(f"{key} = {_format_value(v)}" for key, v in payload.items())
+        return json.dumps(payload, allow_nan=False)
+    return "\n".join(
+        f"{key} = {json.dumps(v, allow_nan=False)}" for key, v in payload.items()
+    )
 
 
 def _read_reals(source: str, option: str) -> list[float]:
@@ -205,7 +184,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("c", "d"), required=True)
     p.add_argument("--scales", required=True)
     p.add_argument("--K", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
 
     p = sub.add_parser(
         "residual", help="residuals of a candidate series in either equation"
@@ -301,9 +279,9 @@ def _run(args) -> tuple[dict, int]:
     if cmd == "coeffs":
         mu = validate_scales(_read_reals(args.scales, "scales"))
         fn = c_coefficients if args.which == "c" else d_coefficients
-        coeffs = fn(mu, args.K, args.tol)
+        coeffs = fn(mu, args.K)
         return {
-            "config": {"K": args.K, "tol": args.tol},
+            "config": {"K": args.K},
             "which": coeffs.kind,
             "values": list(coeffs.values),
         }, EXIT_OK

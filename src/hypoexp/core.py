@@ -72,7 +72,7 @@ def _block_rows(n: int) -> int:
 
 @dataclass(frozen=True)
 class RateVector:
-    """Validated, ascending-sorted vector of distinct positive rates."""
+    """Ascending distinct positive rates, as ``validate_rates`` returns them."""
 
     rates: tuple[float, ...]
 
@@ -83,7 +83,8 @@ class RateVector:
 
 @dataclass(frozen=True)
 class ScaleVector:
-    """Strictly decreasing positive scales mu_1 > mu_2 > ... > mu_n.
+    """Strictly decreasing positive scales mu_1 > mu_2 > ... > mu_n, as
+    ``validate_scales`` returns them.
 
     Scales are the reciprocal-rate parametrization: taking lambda_j = 1/mu_j
     maps a ScaleVector onto an ascending RateVector.
@@ -267,8 +268,19 @@ class HypoexpDistribution:
 
     @cached_property
     def _pdf_coeffs(self) -> tuple[float, ...]:
-        """w_j * lambda_j, the pdf's mixture coefficients."""
-        return tuple(w * lam for w, lam in zip(self.weights.weights, self.rates.rates))
+        """w_j * lambda_j, the pdf's mixture coefficients.
+
+        Raises OverflowError naming the rate where one is beyond the float
+        range, which finite weights do not rule out (rates near 1e308).
+        """
+        rates = self.rates.rates
+        coeffs = tuple(w * lam for w, lam in zip(self.weights.weights, rates))
+        for c, lam in zip(coeffs, rates):
+            if math.isinf(c):
+                raise OverflowError(
+                    f"pdf coefficient w_j * lambda_j at rate {lam!r} is beyond the float range"
+                )
+        return coeffs
 
     @cached_property
     def _neg_rates(self) -> tuple[float, ...]:
@@ -449,7 +461,8 @@ class HypoexpDistribution:
         generator's stream in the same order as one (count, n) draw.  Each
         block's sums are one contraction, ``np.einsum("ij,j->i", log(U),
         -1/lambda)``, which calls no BLAS, so the values equal that
-        contraction over the one-shot (count, n) draw bit for bit.
+        contraction over the one-shot (count, n) draw bit for bit.  A draw
+        beyond the float range raises OverflowError.
         """
         count = _integer("count", count)
         if count < 1:
@@ -463,6 +476,8 @@ class HypoexpDistribution:
             u = rng.random((min(rows, count - start), self.n))
             np.subtract(1.0, u, out=u)  # maps [0,1) onto (0,1]
             np.einsum("ij,j->i", np.log(u, out=u), neg_scales, out=out[start:start + rows])
+        if not out.max() < math.inf:  # NaN too: 0 * inf where 1/lambda_j overflows
+            raise OverflowError("a draw of the sample is beyond the float range")
         return out
 
 

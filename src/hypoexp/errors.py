@@ -37,10 +37,6 @@ class ZeroConstantTermError(HypoexpError):
     """Series reciprocal requested for a series with zero constant term."""
 
 
-class StructureViolationError(HypoexpError):
-    """A structural sign condition on c_k / d_k coefficients failed."""
-
-
 class ZeroDivisorError(HypoexpError):
     """A forward-solve step hit a (near-)zero structural coefficient."""
 

@@ -51,7 +51,6 @@ from hypoexp.characterize import (
 from hypoexp.errors import (
     HypoexpError,
     NonConvergenceError,
-    StructureViolationError,
     ZeroDivisorError,
 )
 
@@ -61,6 +60,10 @@ COMPOSITION_BUDGET = 10**7
 
 class BudgetExceededError(HypoexpError):
     """Composition enumeration would exceed the hard budget cap."""
+
+
+class StructureViolationError(HypoexpError):
+    """An all-ones block of ``solve_by_rebuild`` does not cancel."""
 
 
 def composition_count(k: int, m: int) -> int:
@@ -205,10 +208,10 @@ def solve_by_rebuild(
     """
     survival = a1 is None
     if survival:
-        divisors, sign = d_coefficients(mu, order, tol), 1.0
+        divisors, sign = d_coefficients(mu, order), 1.0
         coeffs = [1.0] + [0.0] * order
     else:
-        divisors, sign = c_coefficients(mu, order, tol), -1.0
+        divisors, sign = c_coefficients(mu, order), -1.0
         coeffs = [1.0, float(a1)] + [0.0] * (order - 1)
     mix = _mixture(mu, survival)
     for k in range(1 if survival else 2, order + 1):

@@ -67,6 +67,12 @@ class TestStructuralCoefficients:
     def test_d_second_order(self):
         assert d_coefficients(MU2, 2).at(2) == pytest.approx(1.5, rel=1e-14)
 
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_order_outside_range_rejected(self, k):
+        for coeffs in (c_coefficients(MU2, 2), d_coefficients(MU2, 2)):
+            with pytest.raises(IndexError, match=rf"^order {k} outside 1\.\.2$"):
+                coeffs.at(k)
+
     def test_c_signs_random_sweep(self):
         rng = np.random.default_rng(23)
         for n in range(2, 7):
@@ -578,8 +584,6 @@ class TestNegativeTolerance:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda tol: c_coefficients(MU2, 4, tol),
-            lambda tol: d_coefficients(MU2, 4, tol),
             lambda tol: lemma2_check(validate_rates([1.0, 2.0]), 4, tol),
             lambda tol: residual_h(exponential_series(1.0, 4), MU2, tol),
             lambda tol: residual_q(exponential_series(1.0, 4), MU2, tol),
@@ -587,7 +591,7 @@ class TestNegativeTolerance:
             lambda tol: forward_solve_theorem2(MU2, 4, tol),
             lambda tol: is_exponential_series(exponential_series(1.0, 4), tol),
         ],
-        ids=["c", "d", "lemma2", "residual_h", "residual_q", "theorem1",
+        ids=["lemma2", "residual_h", "residual_q", "theorem1",
              "theorem2", "is_exponential"],
     )
     def test_rejected(self, call):

@@ -133,6 +133,13 @@ class TestCharacterizationCommands:
         assert code == 0
         assert payload["values"] == pytest.approx([1.0, 1.5])
 
+    def test_coeffs_config_echoes_order_only(self, capsys):
+        code, payload = run_json(
+            capsys, "coeffs", "--which", "d", "--scales", "[1, 0.5]", "--K", "3"
+        )
+        assert code == 0
+        assert payload["config"] == {"K": 3}
+
     def test_residual_incompatible_exit_two(self, capsys):
         code, payload = run_json(
             capsys,
@@ -227,7 +234,7 @@ class TestOutputFormat:
             capsys, "--format", "table", "weights", "--scales", "[1, 0.5]"
         )
         assert code == 0
-        assert "weights = [2, -1]" in out
+        assert "weights = [2.0, -1.0]" in out
 
     def test_seventeen_digit_round_trip(self, capsys):
         _, payload = run_json(
@@ -291,7 +298,8 @@ class TestOutOfRangeOption:
             (["residual", "--which", "h", "--scales", "[1, 0.5]",
               "--psi", "[1, 1, 0]", "--tol=-1"], "tol"),
             (["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
-            (["coeffs", "--which", "d", "--scales", "[1, 0.5]", "--tol=-1"], "tol"),
+            (["residual", "--which", "q", "--scales", "[1, 0.5]",
+              "--psi", "[1, 1, 0]", "--tol=-1"], "tol"),
             (["verify-lemma2", "--rates", "[1, 2]", "--tol=-1"], "tol"),
             (["oracle-convolve", "--rates", "[1, 2]", "--step", "1e-320"], "step"),
             (["oracle-convolve", "--rates", "[1, 2]", "--step", "1e-7"], "step"),
@@ -342,6 +350,10 @@ class TestArithmeticErrorNamed:
              "Lemma 2 term w_j / lambda_j^2 is beyond the float range"),
             (["moments", "--rates", "[1, 2]", "--k", "200"],
              "moment of order 200 is beyond the float range"),
+            (["pdf", "--rates", "[1e308, 1.7e308]", "--x", "[1e-308]"],
+             "pdf coefficient w_j * lambda_j at rate 1e+308 is beyond the float range"),
+            (["sample", "--rates", "[1e-308, 1.5e-308]", "--n", "50", "--seed", "1"],
+             "a draw of the sample is beyond the float range"),
         ],
     )
     def test_message_names_quantity(self, capsys, argv, message):
@@ -416,7 +428,7 @@ class TestNonFiniteInput:
             (["solve", "--theorem", "1", "--scales", "[1, 0.5]", "--a1", "nan"], "--a1"),
             (["residual", "--which", "h", "--scales", "[1, 0.5]",
               "--psi", "[1, 1, 0]", "--tol", "nan"], "--tol"),
-            (["coeffs", "--which", "c", "--scales", "[1, 0.5]", "--tol=-inf"], "--tol"),
+            (["verify-lemma2", "--rates", "[1, 2]", "--tol=-inf"], "--tol"),
             (["test-exponential", "--data", "[1, 2]", "--scales", "[1, 0.5]",
               "--alpha", "nan"], "--alpha"),
             (["oracle-convolve", "--rates", "[1, 2]", "--tmax", "inf"], "--tmax"),
@@ -477,6 +489,30 @@ class TestNonNumericEntry:
         code, out, err = run(capsys, "weights", "--rates", rates)
         assert (code, out) == (1, "")
         assert err.startswith("error: --rates: ")
+
+
+class TestUnparsableOption:
+    """Option text that is not a number, or an option a subcommand lacks, is a
+    usage error: exit 1, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--theorem", "2", "--scales", "[1, 0.5]", "--tol", "abc"],
+             "argument --tol: invalid float value: 'abc'"),
+            (["sample", "--rates", "[1, 2]", "--n", "3", "--seed", "abc"],
+             "argument --seed: invalid int value: 'abc'"),
+            (["coeffs", "--which", "c", "--scales", "[1, 0.5]", "--tol", "1e-6"],
+             "unrecognized arguments: --tol 1e-6"),
+        ],
+    )
+    def test_usage_error_naming_option(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.endswith(f": error: {message}\n")
 
 
 class TestNegativeSeed:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import warnings
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from hypoexp.core import (
     _CANCELLATION_CLAMP,
     _EXP_UNDERFLOW,
     _block_rows,
+    complete_homogeneous_table,
 )
 from hypoexp.errors import (
     BinomialCapError,
@@ -321,6 +323,11 @@ class TestLaplace:
         with pytest.raises(ValueError):
             dist12.laplace(1.0, "other")
 
+    @pytest.mark.parametrize("form", ["product", "mixture"])
+    def test_negative_argument_rejected(self, dist12, form):
+        with pytest.raises(ValueError, match=r"^t=-0\.5 must be nonnegative$"):
+            dist12.laplace(-0.5, form)
+
 
 def moment_bruteforce(rates, k):
     """Multi-index enumeration of E[S^k]; exponential in k, test oracle only."""
@@ -357,6 +364,10 @@ class TestMoments:
                 assert dist.moment(k) == pytest.approx(
                     moment_bruteforce(rates, k), rel=1e-12
                 )
+
+    def test_negative_table_order_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            complete_homogeneous_table([1.0, 0.5], -1)
 
     def test_invalid_order(self, dist12):
         with pytest.raises(ValueError):
@@ -661,6 +672,36 @@ class TestNonFiniteArguments:
                 fn(-math.inf)
             with pytest.raises(ValueError):
                 fn(np.array([1.0, -np.inf]))
+
+
+class TestBeyondFloatRange:
+    """A result beyond the float range raises OverflowError, never inf or NaN."""
+
+    #: w_j * lambda_j overflows here, the weights 2.43 and -1.43 do not.
+    HUGE_RATES = [1e308, 1.7e308]
+    POINTS = [0.0, 1e-309, 1e-308]
+
+    @pytest.mark.parametrize("array", [False, True])
+    def test_pdf_coefficient_overflow_named(self, array):
+        dist = HypoexpDistribution.from_rates(self.HUGE_RATES)
+        x = np.array(self.POINTS) if array else self.POINTS[2]
+        message = r"^pdf coefficient w_j \* lambda_j at rate 1e\+308 is beyond the float range$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            with pytest.raises(OverflowError, match=message):
+                dist.pdf(x)
+
+    def test_survival_and_cdf_stay_finite(self):
+        dist = HypoexpDistribution.from_rates(self.HUGE_RATES)
+        for fn in (dist.survival, dist.cdf):
+            values = fn(np.array(self.POINTS))
+            assert np.isfinite(values).all()
+            assert [v.hex() for v in values] == [fn(x).hex() for x in self.POINTS]
+
+    def test_sample_overflow_raises(self):
+        dist = HypoexpDistribution.from_rates([1e-308, 1.5e-308])
+        with pytest.raises(OverflowError, match="^a draw of the sample is beyond the float range$"):
+            dist.sample(50, 1)
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypoexp import Series, product_of_scaled
 from hypoexp.errors import ZeroConstantTermError
+from hypoexp.series import ScaledProducts
 
 from reference import (
     BudgetExceededError,
@@ -132,6 +133,16 @@ class TestReciprocal:
             Series.from_coefficients([0.0, 1.0]).reciprocal()
 
 
+class TestEmptyInput:
+    def test_series_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="^a series needs at least the constant coefficient$"):
+            Series(())
+
+    def test_products_need_a_scale(self):
+        with pytest.raises(ValueError, match="^need at least one scale$"):
+            ScaledProducts([])
+
+
 class TestNonFiniteCoefficient:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -156,6 +167,12 @@ class TestProductOfScaled:
     def test_constant_term(self):
         u = Series.from_coefficients([2.0, 1.0, 1.0])
         assert product_of_scaled(u, [0.7, 0.4, 0.2])[0] == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5])
+    def test_non_positive_scale_rejected(self, scale):
+        u = Series.from_coefficients([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=rf"^scale mu={scale!r} must be positive$"):
+            product_of_scaled(u, [1.0, scale])
 
 
 def composition_class(alpha):
