@@ -4,7 +4,9 @@ import importlib
 
 from .core import (
     BINOMIAL_CAP,
+    DEFAULT_ORDER,
     DEFAULT_SEED,
+    DEFAULT_TOL,
     DISTINCTNESS_TOL,
     HypoexpDistribution,
     RateVector,
@@ -17,35 +19,33 @@ from .core import (
     validate_scales,
     weights_from_scales,
 )
-from .series import Series, product_of_scaled
-from .characterize import (
-    DEFAULT_ORDER,
-    DEFAULT_TOL,
-    ExponentialVerdict,
-    Lemma2Report,
-    ResidualReport,
-    StructuralCoefficients,
-    c_coefficients,
-    d_coefficients,
-    forward_solve_theorem1,
-    forward_solve_theorem2,
-    is_exponential_series,
-    lemma2_check,
-    residual_h,
-    residual_q,
-)
 from . import errors
 
-#: Loaded on first access (PEP 562): only the oracles import numpy at import time.
-_ORACLE_NAMES = {"GridDensity", "TestReport", "convolve_numeric",
-                 "exponentiality_test", "ks_critical", "ks_distance"}
+#: Modules loaded on first access (PEP 562), with the names they export:
+#: ``import hypoexp`` runs only ``core`` and ``errors``, and only the oracles
+#: import numpy at import time.
+_LAZY = {
+    "series": ("Series", "product_of_scaled"),
+    "characterize": (
+        "ExponentialVerdict", "Lemma2Report", "ResidualReport", "StructuralCoefficients",
+        "c_coefficients", "d_coefficients", "forward_solve_theorem1",
+        "forward_solve_theorem2", "is_exponential_series", "lemma2_check",
+        "residual_h", "residual_q",
+    ),
+    "oracles": (
+        "GridDensity", "TestReport", "convolve_numeric", "exponentiality_test",
+        "ks_critical", "ks_distance",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    if name == "oracles" or name in _ORACLE_NAMES:
-        oracles = importlib.import_module(".oracles", __name__)
-        return oracles if name == "oracles" else getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in _LAZY else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
 
 
 __all__ = [

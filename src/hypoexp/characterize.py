@@ -38,12 +38,14 @@ scale, not with 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (
+    DEFAULT_ORDER,
+    DEFAULT_TOL,
     RateVector,
     ScaleVector,
+    _Record,
     check_tol,
     complete_homogeneous_table,
     lagrange_weights,
@@ -52,20 +54,12 @@ from .core import (
 from .errors import NotNormalizedError, ZeroDivisorError
 from .series import ScaledProducts, Series, append_reciprocal
 
-#: Default truncation order for solvers and residual sweeps.
-DEFAULT_ORDER = 16
-
-#: Default scaled tolerance of residual verdicts, the Lemma 2 sweep and the
-#: exponential-series test.
-DEFAULT_TOL = 1e-10
-
 VERDICT_COMPATIBLE = "exponential-compatible"
 VERDICT_INCOMPATIBLE = "incompatible"
 VERDICT_DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Record):
     """Per-order residuals of a characterization equation.
 
     ``residuals[k]`` is the order-k residual, k = 0..order.  The verdict is
@@ -91,8 +85,7 @@ class ResidualReport:
         return out
 
 
-@dataclass(frozen=True)
-class StructuralCoefficients:
+class StructuralCoefficients(_Record):
     """Order-indexed linear coefficients of the forward recursions.
 
     ``kind`` is "c" (density-form equation: c_1 = 0, c_k < 0 for k >= 2) or
@@ -117,8 +110,7 @@ class StructuralCoefficients:
         return self.term_scales[k - 1]
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
+class Lemma2Report(_Record):
     """Residuals of the three weight identities plus the moment identity.
 
     ``power_sum_residuals[k-1]`` is sum_j w_j lambda_j^k for k = 1..n-1 (should
@@ -139,8 +131,7 @@ class Lemma2Report:
     to_dict = report_dict
 
 
-@dataclass(frozen=True)
-class ExponentialVerdict:
+class ExponentialVerdict(_Record):
     """Outcome of testing whether a series is 1 + t/lambda."""
 
     is_exponential: bool

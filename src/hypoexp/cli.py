@@ -10,6 +10,9 @@ not a finite float exits 1 with nothing on stdout.
 ``main(argv)`` may be called any number of times in one process: the parser
 is built on the first call and reused by every later one, so ``import
 hypoexp.cli`` builds nothing and a repeated call pays only for its own work.
+Of the package, the import loads only ``core`` and ``errors``; a subcommand
+imports ``series``, ``characterize`` or ``oracles`` in the branch that runs
+it, so a fresh ``pdf`` process never compiles them.
 """
 
 from __future__ import annotations
@@ -21,27 +24,18 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from . import (
+from .core import (
     DEFAULT_ORDER,
     DEFAULT_SEED,
     DEFAULT_TOL,
     HypoexpDistribution,
-    Series,
     binomial_weights,
-    c_coefficients,
-    d_coefficients,
-    forward_solve_theorem1,
-    forward_solve_theorem2,
-    is_exponential_series,
     lagrange_weights,
-    lemma2_check,
-    residual_h,
-    residual_q,
+    report_dict,
     validate_rates,
     validate_scales,
     weights_from_scales,
 )
-from .core import report_dict
 from .errors import HypoexpError
 
 EXIT_OK = 0
@@ -269,6 +263,7 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "verify-lemma2":
+        from .characterize import lemma2_check
         report = lemma2_check(
             validate_rates(_read_reals(args.rates, "rates")), order=args.K, tol=args.tol
         )
@@ -277,6 +272,7 @@ def _run(args) -> tuple[dict, int]:
         return payload, EXIT_OK if report.passed else EXIT_REJECT
 
     if cmd == "coeffs":
+        from .characterize import c_coefficients, d_coefficients
         mu = validate_scales(_read_reals(args.scales, "scales"))
         fn = c_coefficients if args.which == "c" else d_coefficients
         coeffs = fn(mu, args.K)
@@ -287,6 +283,8 @@ def _run(args) -> tuple[dict, int]:
         }, EXIT_OK
 
     if cmd == "residual":
+        from .characterize import residual_h, residual_q
+        from .series import Series
         mu = validate_scales(_read_reals(args.scales, "scales"))
         psi = Series.from_coefficients(_read_reals(args.psi, "psi"))
         fn = residual_h if args.which == "h" else residual_q
@@ -297,6 +295,9 @@ def _run(args) -> tuple[dict, int]:
         return payload, code
 
     if cmd == "solve":
+        from .characterize import (
+            forward_solve_theorem1, forward_solve_theorem2, is_exponential_series,
+        )
         mu = validate_scales(_read_reals(args.scales, "scales"))
         if args.theorem == 1:
             solved = forward_solve_theorem1(mu, args.a1, order=args.K, tol=args.tol)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -48,6 +47,13 @@ BINOMIAL_CAP = 60
 #: Default seed of sampling and the exponentiality test, echoed in reports.
 DEFAULT_SEED = 20130915
 
+#: Default truncation order for solvers and residual sweeps.
+DEFAULT_ORDER = 16
+
+#: Default scaled tolerance of residual verdicts, the Lemma 2 sweep and the
+#: exponential-series test.
+DEFAULT_TOL = 1e-10
+
 _LN2 = math.log(2.0)
 
 #: A signed sum below -_CANCELLATION_CLAMP times its largest term raises.
@@ -70,8 +76,67 @@ def _block_rows(n: int) -> int:
     return max(1024, _BLOCK_ENTRIES // n)
 
 
-@dataclass(frozen=True)
-class RateVector:
+class _Record:
+    """Immutable record of the fields its class annotates, in that order.
+
+    A field given a value in the class body is optional, with that default.
+    Records are equal only to records of the same class with equal fields,
+    and hash, print and pickle by their fields.  Values are kept in the
+    instance ``__dict__``, so ``functools.cached_property`` works and its
+    cache leaves equality, hash and repr alone.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, from positional, keyword and default values."""
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(
+                f"{name}() takes {len(self._fields)} arguments but {len(args)} were given"
+            )
+        values = list(args)
+        for field in self._fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected argument {next(iter(kwargs))!r}")
+        return values
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RateVector(_Record):
     """Ascending distinct positive rates, as ``validate_rates`` returns them."""
 
     rates: tuple[float, ...]
@@ -81,8 +146,7 @@ class RateVector:
         return len(self.rates)
 
 
-@dataclass(frozen=True)
-class ScaleVector:
+class ScaleVector(_Record):
     """Strictly decreasing positive scales mu_1 > mu_2 > ... > mu_n, as
     ``validate_scales`` returns them.
 
@@ -101,8 +165,7 @@ class ScaleVector:
         return RateVector(tuple(1.0 / m for m in self.scales))
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Record):
     """Signed mixture weights with sign and log-magnitude carried separately.
 
     ``exact`` marks weights produced from exact integer arithmetic
@@ -119,11 +182,11 @@ class WeightVector:
         return len(self.weights)
 
 
-def report_dict(report) -> dict:
-    """A dataclass report's fields in declaration order, tuples as lists."""
+def report_dict(report: _Record) -> dict:
+    """A record's fields in declaration order, tuples as lists."""
     return {
-        f.name: list(v) if isinstance(v := getattr(report, f.name), tuple) else v
-        for f in fields(report)
+        f: list(v) if isinstance(v := getattr(report, f), tuple) else v
+        for f in report._fields
     }
 
 
@@ -245,8 +308,7 @@ def binomial_weights(n: int) -> WeightVector:
     return WeightVector(tuple(weights), tuple(signs), tuple(log_mags), exact=True)
 
 
-@dataclass(frozen=True)
-class HypoexpDistribution:
+class HypoexpDistribution(_Record):
     """Sum of independent exponentials with distinct rates.
 
     Immutable; weights are computed once from the rates at construction.
@@ -380,8 +442,10 @@ class HypoexpDistribution:
         """Laplace transform E[exp(-t S)] at t >= 0.
 
         ``product`` evaluates prod_i lambda_i / (lambda_i + t); ``mixture``
-        evaluates sum_j w_j lambda_j / (lambda_j + t).  The two agree as an
-        algebraic identity (partial fractions).
+        evaluates sum_j w_j lambda_j / (lambda_j + t) over the pdf's
+        coefficients, so an infinite w_j lambda_j raises the pdf's
+        OverflowError.  The two agree as an algebraic identity (partial
+        fractions).
         """
         t = float(t)
         if t < 0.0:
@@ -393,8 +457,7 @@ class HypoexpDistribution:
             return value
         if form == "mixture":
             return math.fsum(
-                w * lam / (lam + t)
-                for w, lam in zip(self.weights.weights, self.rates.rates)
+                c / (lam + t) for c, lam in zip(self._pdf_coeffs, self.rates.rates)
             )
         raise ValueError(f"unknown form {form!r}")
 

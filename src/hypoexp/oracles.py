@@ -13,7 +13,6 @@ exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +22,8 @@ from .core import (
     HypoexpDistribution,
     RateVector,
     ScaleVector,
+    _integer,
+    _Record,
     report_dict,
     validate_rates,
 )
@@ -44,8 +45,7 @@ _INTEGRAL_TOL = 1e-6
 MAX_GRID_POINTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class GridDensity:
+class GridDensity(_Record):
     """Density values tabulated on a uniform grid starting at 0."""
 
     grid: np.ndarray
@@ -59,8 +59,7 @@ class GridDensity:
         return float(np.max(np.abs(self.values - density(self.grid))))
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(_Record):
     """Outcome of the tuple-based exponentiality test."""
 
     statistic: float
@@ -85,8 +84,12 @@ def _check_alpha(alpha: float) -> None:
 
 
 def ks_critical(alpha: float, n: int) -> float:
-    """Asymptotic KS critical value c(alpha)/sqrt(n); requires 0 < alpha < 1."""
+    """Asymptotic KS critical value c(alpha)/sqrt(n); requires 0 < alpha < 1
+    and an integer n >= 1, else ValueError."""
     _check_alpha(alpha)
+    n = _integer("n", n)
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     c = KS_CONSTANTS.get(alpha)
     if c is None:
         c = math.sqrt(-0.5 * math.log(alpha / 2.0))

@@ -12,26 +12,25 @@ order and O(n K^2) in all to order K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .core import ScaleVector
+from .core import ScaleVector, _Record
 from .errors import ZeroConstantTermError
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Record):
     """Coefficients a_0..a_K of a truncated formal power series."""
 
     coefficients: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[float, ...]):
+        if not coefficients:
             raise ValueError("a series needs at least the constant coefficient")
-        for k, c in enumerate(self.coefficients):
+        for k, c in enumerate(coefficients):
             if not math.isfinite(c):
                 raise ValueError(f"series coefficient a_{k} = {c!r} is not finite")
+        super().__init__(coefficients)
 
     @property
     def order(self) -> int:

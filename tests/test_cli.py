@@ -354,6 +354,8 @@ class TestArithmeticErrorNamed:
              "pdf coefficient w_j * lambda_j at rate 1e+308 is beyond the float range"),
             (["sample", "--rates", "[1e-308, 1.5e-308]", "--n", "50", "--seed", "1"],
              "a draw of the sample is beyond the float range"),
+            (["laplace", "--rates", "[1e308, 1.7e308]", "--t", "[1e300]"],
+             "pdf coefficient w_j * lambda_j at rate 1e+308 is beyond the float range"),
         ],
     )
     def test_message_names_quantity(self, capsys, argv, message):
@@ -551,7 +553,8 @@ def fresh(*args, stdin=None):
 
 
 class TestFreshProcess:
-    """Start-up as a user sees it: numpy is loaded only where arrays are used."""
+    """Start-up as a user sees it: each subcommand loads only the modules it
+    runs, numpy only where arrays are used, and nothing loads ``dataclasses``."""
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -572,8 +575,12 @@ class TestFreshProcess:
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
         }
-        assert "hypoexp.characterize" in imported
+        assert "hypoexp.core" in imported
         assert not [m for m in imported if m.split(".")[0] == "numpy"]
+        assert "dataclasses" not in imported
+        runs_characterize = argv[0] in ("solve", "residual", "coeffs")
+        assert ("hypoexp.characterize" in imported) == runs_characterize
+        assert ("hypoexp.series" in imported) == runs_characterize
         assert proc.returncode == expected
         assert proc.stdout == run(capsys, *argv)[1]
 
@@ -613,6 +620,23 @@ class TestFreshProcess:
         proc = fresh("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\nFalse\n"
+
+    def test_every_public_name_resolves_by_getattr(self):
+        code = (
+            "import sys\n"
+            "import hypoexp\n"
+            "loaded = sorted(m for m in ('hypoexp.series', 'hypoexp.characterize',"
+            " 'hypoexp.oracles', 'numpy', 'dataclasses') if m in sys.modules)\n"
+            "print(loaded)\n"
+            "print([n for n in hypoexp.__all__ if getattr(hypoexp, n, None) is None])\n"
+            "from hypoexp import *\n"
+            "print([n for n in hypoexp.__all__ if globals()[n] is not getattr(hypoexp, n)])\n"
+            "print(hypoexp.DEFAULT_ORDER, hypoexp.DEFAULT_TOL,"
+            " hypoexp.characterize.DEFAULT_ORDER, hypoexp.characterize.DEFAULT_TOL)\n"
+        )
+        proc = fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n[]\n[]\n16 1e-10 16 1e-10\n"
 
     def test_array_evaluation_when_numpy_imported_later(self):
         code = (

@@ -167,6 +167,15 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="alpha="):
             ks_critical(alpha, 100)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, "100", None])
+    def test_bad_sample_size_rejected(self, n):
+        with pytest.raises(ValueError, match="^n="):
+            ks_critical(0.05, n)
+
+    def test_integer_sample_sizes(self):
+        assert ks_critical(0.05, 1) == 1.36
+        assert ks_critical(0.05, np.int64(100)) == ks_critical(0.05, 100)
+
 
 def exp_sampler(rate):
     def sampler(count, rng):

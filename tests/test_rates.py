@@ -703,6 +703,24 @@ class TestBeyondFloatRange:
         with pytest.raises(OverflowError, match="^a draw of the sample is beyond the float range$"):
             dist.sample(50, 1)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1e300])
+    def test_laplace_mixture_overflow_named(self, t):
+        dist = HypoexpDistribution.from_rates(self.HUGE_RATES)
+        message = r"^pdf coefficient w_j \* lambda_j at rate 1e\+308 is beyond the float range$"
+        with pytest.raises(OverflowError, match=message):
+            dist.laplace(t, "mixture")
+        assert 0.0 < dist.laplace(t, "product") <= 1.0
+
+    @pytest.mark.parametrize("rates", [[1.0, 2.0, 5.0], [1.0001**k for k in range(6)],
+                                       [0.3, 7.0, 11.0, 1e3], [1e-300, 3e-300]])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0, 1e5, 1e300])
+    def test_laplace_mixture_keeps_weight_formula(self, rates, t):
+        dist = HypoexpDistribution.from_rates(rates)
+        plain = math.fsum(
+            w * lam / (lam + t) for w, lam in zip(dist.weights.weights, dist.rates.rates)
+        )
+        assert dist.laplace(t, "mixture").hex() == plain.hex()
+
 
 @st.composite
 def spaced_rates(draw, max_n=32):
