@@ -358,20 +358,28 @@ class HypoexpDistribution(_Record):
         return self._mixture(x, self.weights.weights, 1.0, "survival")
 
     def cdf(self, x):
-        """P(S <= x) = 1 - survival(x); accepts a float or an ndarray."""
-        return 1.0 - self.survival(x)
+        """P(S <= x) = 1 - survival(x); accepts a float or an ndarray.
+
+        An ndarray's 1 - survival is formed in survival's own fresh buffer.
+        """
+        s = self.survival(x)
+        if isinstance(s, float):
+            return 1.0 - s
+        return sys.modules["numpy"].subtract(1.0, s, out=s)
 
     def _mixture(self, x, coeffs: Sequence[float], upper: float, name: str):
         """sum_j coeffs_j * exp(-lambda_j * x) clipped into [0, upper], for x >= 0.
 
-        NaN gives NaN, an ndarray a flat array.  A sum below
+        NaN gives NaN, an ndarray a fresh flat array.  A sum below
         -``_CANCELLATION_CLAMP`` times its largest term raises NegativeDensityError.
         """
         np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
         if np is not None and isinstance(x, np.ndarray):
-            if np.any(x < 0.0):
+            # fmin skips NaN, and has no identity for an empty array
+            if x.size and np.fmin.reduce(x, axis=None) < 0.0:
                 raise ValueError(f"x={float(x[x < 0.0][0])!r} outside support [0, inf)")
-            return np.clip(self._mixture_many(x, coeffs, name), 0.0, upper)
+            out = self._mixture_many(x, coeffs, name)
+            return np.clip(out, 0.0, upper, out=out)
         x = float(x)
         if x < 0.0:
             raise ValueError(f"x={x!r} outside support [0, inf)")

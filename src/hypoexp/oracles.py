@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    _BLOCK_ENTRIES,
     DEFAULT_SEED,
     HypoexpDistribution,
     RateVector,
@@ -99,19 +100,42 @@ def ks_critical(alpha: float, n: int) -> float:
 def ks_distance(samples: Sequence[float], cdf: Callable) -> float:
     """One-sample KS statistic: sup deviation of the empirical cdf.
 
-    ValueError when there is no sample, when a sample is NaN or when the cdf
-    returns NaN; +inf samples are valid.
+    N-D samples count as the flat sequence of their entries and a scalar as
+    one sample.  The samples are sorted into a copy, so the caller's array
+    is never written to.  ValueError when there is no sample, when a sample
+    is NaN or when the cdf returns NaN; +inf samples are valid.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = len(x)
-    if n == 0:
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    if x.size == 0:
         raise ValueError("need at least one sample")
+    return _ks_sorted(x, cdf)
+
+
+def _ks_sorted(x: np.ndarray, cdf: Callable) -> float:
+    """``ks_distance`` of an ascending non-empty 1-D x, which is only read.
+
+    max(steps - f, f - (steps - 1/n)) over steps k/n, taken over blocks of
+    ``_BLOCK_ENTRIES`` points, so no temporary grows with x; maxima are
+    exact, so blocks do not change the result.  In a block D+ is
+    -min(f - steps), equal to max(steps - f) because a - b == -(b - a) in
+    IEEE arithmetic, and steps is then lowered by 1/n in place for D-.
+    f may be x itself, as for an identity cdf.
+    """
     if np.isnan(x[-1]):  # the sort puts NaN last
         raise ValueError("samples hold NaN")
-    f = np.asarray(cdf(x), dtype=float)
-    steps = np.arange(1, n + 1) / n
-    # a NaN in f makes both maxima NaN
-    distance = float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+    n = x.size
+    f = np.broadcast_to(np.asarray(cdf(x), dtype=float), x.shape)
+    extremes = []
+    for start in range(0, n, _BLOCK_ENTRIES):
+        fs = f[start:start + _BLOCK_ENTRIES]
+        steps = np.arange(start + 1.0, start + fs.size + 1.0)  # exact below 2**53
+        steps /= n
+        diff = fs - steps
+        extremes.append(-diff.min())
+        steps -= 1.0 / n
+        extremes.append(np.subtract(fs, steps, out=diff).max())
+    # a NaN in f makes its block's extremes, and so their maximum, NaN
+    distance = float(np.max(extremes))
     if math.isnan(distance):
         raise ValueError("cdf returned NaN")
     return distance
@@ -205,7 +229,8 @@ def exponentiality_test(
     _check_alpha(alpha)
     x = np.asarray(data, dtype=float).ravel()
     n = mu.n
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+    # NaN fails both comparisons
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         raise NonPositiveObservationError(
             "data must consist of finite positive reals"
         )
@@ -220,11 +245,13 @@ def exponentiality_test(
     n_tuples = len(x) // n
     tuples = shuffled[: n_tuples * n].reshape(n_tuples, n)
     sums = tuples @ np.asarray(mu.scales)
+    del shuffled, tuples
+    sums.sort()
 
     dist = HypoexpDistribution.from_rates(
         [fitted / m for m in mu.scales]
     )
-    statistic = ks_distance(sums, dist.cdf)
+    statistic = _ks_sorted(sums, dist.cdf)
     threshold = ks_critical(alpha, n_tuples)
     return TestReport(
         statistic=statistic,

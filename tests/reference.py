@@ -18,6 +18,10 @@ once) and ``sample_direct`` are the one-shot array formulas of
 ``HypoexpDistribution``, with every temporary the size of the whole input;
 the blocked kernels, which skip the exponentials that underflow, must match
 them bit for bit.
+``ks_distance_direct`` and ``exponentiality_statistic_direct`` are the KS
+statistic and the tuple test's statistic by the earlier formula, with every
+temporary the length of the sample; ``hypoexp.oracles`` must match them bit
+for bit.
 ``quantile_capped`` is the earlier ``HypoexpDistribution.quantile``, with its
 200-doubling cap, 500-halving cap and width stop; wherever it returns a value
 the bisection without caps must return the same float.
@@ -308,6 +312,27 @@ def sample_direct(rates: Sequence[float], count: int, seed: int) -> np.ndarray:
     lam = np.asarray(rates)
     u = 1.0 - rng.random((count, len(lam)))  # maps [0,1) onto (0,1]
     return np.einsum("ij,j->i", np.log(u), np.reciprocal(-lam))
+
+
+def ks_distance_direct(samples, cdf: Callable) -> float:
+    """KS statistic of the flat samples: max(steps - f, f - (steps - 1/n))."""
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = len(x)
+    f = np.asarray(cdf(x), dtype=float)
+    steps = np.arange(1, n + 1) / n
+    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+
+
+def exponentiality_statistic_direct(data, mu: ScaleVector, seed: int) -> float:
+    """``exponentiality_test``'s statistic: the shuffled consecutive n-tuples'
+    weighted sums against the law with rates (1/mean)/mu_j."""
+    x = np.asarray(data, dtype=float).ravel()
+    n = mu.n
+    shuffled = np.random.default_rng(seed).permutation(x)
+    sums = shuffled[: len(x) // n * n].reshape(-1, n) @ np.asarray(mu.scales)
+    fitted = 1.0 / float(np.mean(x))
+    dist = HypoexpDistribution.from_rates([fitted / m for m in mu.scales])
+    return ks_distance_direct(sums, dist.cdf)
 
 
 def quantile_capped(dist: HypoexpDistribution, p: float) -> float:

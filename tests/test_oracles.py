@@ -19,7 +19,12 @@ from hypoexp.errors import (
     NonPositiveObservationError,
 )
 
-from reference import convolve_direct, mc_weighted_sum
+from reference import (
+    convolve_direct,
+    exponentiality_statistic_direct,
+    ks_distance_direct,
+    mc_weighted_sum,
+)
 
 MU2 = validate_scales([1.0, 0.5])
 
@@ -150,11 +155,37 @@ class TestKsDistance:
         with pytest.raises(ValueError, match="cdf returned NaN"):
             ks_distance([0.5, 1.0], lambda x: np.where(x > 0.7, np.nan, 0.5))
 
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_nan_in_any_block_rejected(self, where):
+        sorted_data = np.sort(np.random.default_rng(12).exponential(1.0, 2 * oracles._BLOCK_ENTRIES + 1))
+
+        def cdf(v):
+            f = 1.0 - np.exp(-v)
+            f[where] = math.nan
+            return f
+
+        with pytest.raises(ValueError, match="cdf returned NaN"):
+            ks_distance(sorted_data, cdf)
+
     def test_infinite_sample_valid(self):
         dist = HypoexpDistribution.from_rates([1.0, 2.0])
         # the empirical cdf steps to 1/2 at 1 and to 1 at +inf, where cdf = 1
         stat = ks_distance([1.0, math.inf], dist.cdf)
         assert stat == max(dist.cdf(1.0), 0.5)
+
+    def test_nd_samples_count_as_flat_entries(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0])
+        draws = dist.sample(600, seed=4)
+        for shape in ((300, 2), (2, 3, 100)):
+            assert ks_distance(draws.reshape(shape), dist.cdf) == ks_distance(draws, dist.cdf)
+        with pytest.raises(ValueError, match="samples hold NaN"):
+            ks_distance(np.array([[0.5, 1.0], [math.nan, 2.0]]), dist.cdf)
+
+    def test_scalar_is_one_sample(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0])
+        expected = ks_distance([0.7], dist.cdf)
+        assert ks_distance(np.array(0.7), dist.cdf) == expected
+        assert ks_distance(0.7, dist.cdf) == expected
 
     def test_critical_values(self):
         assert ks_critical(0.05, 100) == pytest.approx(0.136)
@@ -259,6 +290,22 @@ class TestExponentialityTest:
         with pytest.raises(ValueError, match="alpha="):
             exponentiality_test([1.0] * 200, MU2, alpha=alpha)
 
+    # count 1 is also too little data: NonPositiveObservationError comes first
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("count", [1, 200])
+    def test_nonpositive_or_nonfinite_rejected(self, bad, count):
+        data = [1.0] * count
+        data[count // 2] = bad
+        with pytest.raises(NonPositiveObservationError):
+            exponentiality_test(data, MU2)
+        with pytest.raises(NonPositiveObservationError):
+            exponentiality_test(np.array(data).reshape(-1, 1), MU2)
+
+    @pytest.mark.parametrize("data", [[], np.empty((0, 2)), [1.0] * 99])
+    def test_too_little_data(self, data):
+        with pytest.raises(InsufficientDataError):
+            exponentiality_test(data, MU2)
+
     def test_report_serializes(self):
         rng = np.random.default_rng(103)
         data = rng.exponential(2.0, 10**4)
@@ -266,6 +313,90 @@ class TestExponentialityTest:
         payload = report.to_dict()
         assert payload["verdict"] in ("reject", "consistent")
         assert payload["n_tuples"] == 5000
+
+
+LAWS = {
+    "exp": lambda rng, count: rng.exponential(1.0, count),
+    "weibull": lambda rng, count: rng.weibull(1.5, count),
+    "gamma": lambda rng, count: rng.gamma(2.0, 1.0, count),
+}
+
+
+class TestBitIdentity:
+    """The statistics equal the earlier full-length formula exactly."""
+
+    @pytest.mark.parametrize("count", [10**4, 10**5])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_exponentiality_statistic(self, count, law, n):
+        data = LAWS[law](np.random.default_rng(count + n), count)
+        mu = validate_scales([1.0 / (j + 1) for j in range(n)])
+        report = exponentiality_test(data, mu, seed=n)
+        assert report.statistic == exponentiality_statistic_direct(data, mu, seed=n)
+
+    @pytest.mark.parametrize("count", [10**4, 10**5])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_ks_distance(self, count, law):
+        data = LAWS[law](np.random.default_rng(count), count)
+        dist = HypoexpDistribution.from_rates([1.0, 2.0])
+        assert ks_distance(data, dist.cdf) == ks_distance_direct(data, dist.cdf)
+        # the cdf hands its argument back: the sample buffer is also f
+        identity = lambda v: v  # noqa: E731
+        assert ks_distance(data, identity) == ks_distance_direct(data, identity)
+        scaled = data / data.max()
+        assert ks_distance(scaled, identity) == ks_distance_direct(scaled, identity)
+        # a cdf of one value for every sample broadcasts
+        half = lambda v: 0.5  # noqa: E731
+        assert ks_distance(data, half) == ks_distance_direct(data, half)
+
+    def test_ks_distance_over_blocks(self):
+        # the KS step works in blocks of _BLOCK_ENTRIES points: cover several,
+        # a short last one, and the extremes in the first and in the last block
+        block = oracles._BLOCK_ENTRIES
+        data = np.random.default_rng(11).exponential(1.0, 3 * block + 7)
+        for cdf in (
+            lambda v: 1.0 - np.exp(-v),
+            lambda v: 1.0 - np.exp(-0.5 * v),
+            lambda v: np.minimum(1.0, 0.01 + 1.0 - np.exp(-v)),
+            lambda v: np.where(v > np.sort(data)[block // 2], 1.0 - np.exp(-v), 0.0),
+            lambda v: np.where(v < np.sort(data)[-3], 1.0 - np.exp(-v), 0.5),
+        ):
+            assert ks_distance(data, cdf) == ks_distance_direct(data, cdf)
+
+
+def _frozen(values):
+    values = np.array(values, dtype=float)
+    values.setflags(write=False)
+    return values
+
+
+class TestInputLeftAlone:
+    """The caller's array is only read, and may be read-only."""
+
+    def test_exponentiality_test(self):
+        data = _frozen(np.random.default_rng(5).exponential(1.0, (500, 2)))
+        before = data.tobytes()
+        report = exponentiality_test(data, MU2, seed=2)
+        assert data.tobytes() == before
+        assert report == exponentiality_test(data.copy(), MU2, seed=2)
+
+    def test_ks_distance(self):
+        dist = HypoexpDistribution.from_rates([1.0, 2.0])
+        data = _frozen(np.random.default_rng(6).exponential(1.0, 1000))
+        before = data.tobytes()
+        seen = []
+
+        def identity(v):
+            seen.append(v)
+            return v
+
+        for cdf in (dist.cdf, identity):
+            assert ks_distance(data, cdf) == ks_distance(data.copy(), cdf)
+            assert data.tobytes() == before
+        # the sorted copy the identity cdf returned was not written to either
+        for v in seen:
+            assert not np.shares_memory(v, data)
+            assert np.array_equal(v, np.sort(data))
 
 
 class TestSamplingAgreementSweep:

@@ -674,6 +674,44 @@ class TestNonFiniteArguments:
                 fn(np.array([1.0, -np.inf]))
 
 
+class TestArrayInput:
+    """Array evaluation only reads its input and returns a fresh array."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(0.0, 30.0, 70_001),  # more than one block
+            np.linspace(30.0, 0.0, 1001),
+            np.array([[0.5, np.nan], [np.inf, 0.0]]),
+            np.array(1.5),
+        ],
+        ids=["ascending", "descending", "2d-nan-inf", "0d"],
+    )
+    def test_read_only_input_left_alone(self, dist12, x):
+        x.setflags(write=False)
+        before = x.tobytes()
+        for fn in (dist12.pdf, dist12.cdf, dist12.survival):
+            values = fn(x)
+            assert x.tobytes() == before
+            assert values.shape == (x.size,)
+            assert not np.shares_memory(values, x)
+        assert np.array_equal(dist12.cdf(x), 1.0 - dist12.survival(x), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "x", [[np.nan, -2.0, 1.0], [1.0, -2.0, np.nan], [[np.nan, 1.0], [-2.0, np.nan]]]
+    )
+    def test_negative_next_to_nan_named(self, dist12, x):
+        for fn in (dist12.pdf, dist12.cdf, dist12.survival):
+            with pytest.raises(ValueError, match=r"^x=-2\.0 outside support"):
+                fn(np.array(x))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_gives_empty_array(self, dist12, shape):
+        for fn in (dist12.pdf, dist12.cdf, dist12.survival):
+            values = fn(np.empty(shape))
+            assert values.shape == (0,) and values.dtype == np.float64
+
+
 class TestBeyondFloatRange:
     """A result beyond the float range raises OverflowError, never inf or NaN."""
 
