@@ -46,6 +46,7 @@ from .core import (
     RateVector,
     ScaleVector,
     _Record,
+    _integer,
     check_tol,
     complete_homogeneous_table,
     lagrange_weights,
@@ -157,9 +158,11 @@ def _tail_scale(a1: float, k: int) -> float:
         raise _beyond(f"tail scale |a_1|^{k} of a_1 = {a1!r}") from None
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int) -> int:
+    order = _integer("truncation order", order)
     if order < 1:
         raise ValueError(f"truncation order {order!r} must be at least 1")
+    return order
 
 
 def _terms(
@@ -214,7 +217,7 @@ def c_coefficients(mu: ScaleVector, order: int) -> StructuralCoefficients:
     cancellation: c_1 is +0.0, and c_k < 0 for k >= 2 unless the mixed sum
     underflows to 0.0.  The term scale of c_k is h_k.
     """
-    _check_order(order)
+    order = _check_order(order)
     h, m = _sums(mu.scales, order)
     _check_finite(h)
     return StructuralCoefficients("c", tuple(0.0 - v for v in m[1:]), tuple(h[1:]))
@@ -225,7 +228,7 @@ def d_coefficients(mu: ScaleVector, order: int) -> StructuralCoefficients:
 
     d_1 = h_0 = 1 and d_k > 0 hold by construction.
     """
-    _check_order(order)
+    order = _check_order(order)
     h = complete_homogeneous_table(mu.scales, order - 1)
     _check_finite(h)
     return StructuralCoefficients("d", tuple(h), tuple(h))
@@ -239,7 +242,7 @@ def lemma2_check(
     The reciprocal-power gaps are formally guaranteed only up to k = n-1, but
     hold at every order; the sweep reports all k <= order.
     """
-    _check_order(order)
+    order = _check_order(order)
     check_tol(tol)
     weights = lagrange_weights(rates)
     lam = rates.rates
@@ -426,7 +429,7 @@ def forward_solve_theorem1(
     isolated by division.  For the exponential candidate the solved a_k all
     vanish; a near-zero divisor c_k signals numeric breakdown.
     """
-    _check_order(order)
+    order = _check_order(order)
     check_tol(tol)
     if not 0.0 < a1 < math.inf:
         raise ValueError(f"a1={a1!r} must be positive (positive-mean candidate)")
@@ -444,7 +447,7 @@ def forward_solve_theorem2(
 
     Returns the solved series, which must come out as (1, 1, 0, ..., 0).
     """
-    _check_order(order)
+    order = _check_order(order)
     check_tol(tol)
     coeffs = [1.0] + [0.0] * order
     _orders(mu, coeffs, True, solve=True)

@@ -493,13 +493,21 @@ class HypoexpDistribution(_Record):
         return self.moment(1)
 
     def variance(self) -> float:
-        return self.moment(2) - self.moment(1) ** 2
+        """Var S = sum_j (1/lambda_j)^2, one fsum of positive terms, so nothing
+        cancels; beyond the float range, moment(2)'s OverflowError."""
+        try:
+            value = math.fsum(s * s for s in [1.0 / lam for lam in self.rates.rates])
+        except OverflowError:  # a partial sum left the float range
+            value = math.inf
+        if value == math.inf:  # and so did E[S^2] = Var S + mean^2
+            raise OverflowError("moment of order 2 is beyond the float range")
+        return value
 
     # -- inverse cdf and sampling --------------------------------------------
 
     def quantile(self, p: float) -> float:
-        """Inverse cdf by bisection to |cdf(x) - p| <= 1e-13, or below 0.5 to a
-        bracket 1e-16 wide; NonConvergenceError if the bracket collapses first."""
+        """Bisection from [0, mean] to |cdf(x) - p| <= 1e-13, else NonConvergenceError
+        once the bracket cannot be halved; rates times 2^e give x times 2^-e exactly."""
         p = float(p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"p={p!r} must lie in (0, 1)")
@@ -521,8 +529,6 @@ class HypoexpDistribution(_Record):
                 lower = mid
             else:
                 upper = mid
-            if upper - lower <= 1e-16:  # 1e-16 exceeds one ulp only below 0.5
-                return 0.5 * (lower + upper)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` values of the sum by inverse transform, deterministically.

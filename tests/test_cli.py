@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -85,6 +86,16 @@ class TestEvaluationCommands:
         dist = HypoexpDistribution.from_rates([1.0, 2.0])
         assert code == 0
         assert dist.cdf(payload["values"][0]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_quantile_at_fast_rates(self, capsys):
+        # rates (1, 2, 3) * 1e16 are those of the maximum of three Exp(1e16), whose
+        # median is -log1p(-0.5^(1/3)) / 1e16; a width stop printed 1.375e-16
+        code, payload = run_json(
+            capsys, "quantile", "--rates", "[1e16, 2e16, 3e16]", "--p", "[0.5]"
+        )
+        assert code == 0
+        median = -math.log1p(-(0.5 ** (1.0 / 3.0))) / 1e16
+        assert payload["values"][0] == pytest.approx(median, rel=1e-12, abs=0.0)
 
     def test_moments(self, capsys):
         code, payload = run_json(capsys, "moments", "--rates", "[1, 2]", "--k", "2")

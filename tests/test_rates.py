@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from hypoexp.core import (
     _BLOCK_ENTRIES,
     _CANCELLATION_CLAMP,
     _EXP_UNDERFLOW,
+    _QUANTILE_TOL,
     _block_rows,
     complete_homogeneous_table,
 )
@@ -350,6 +352,15 @@ class TestMoments:
     def test_variance(self, dist12):
         assert dist12.variance() == pytest.approx(1.25, rel=1e-13)
 
+    @pytest.mark.parametrize("rates", [[1.01**k for k in range(32)],
+                                       [1.001**k for k in range(60)]])
+    def test_variance_against_fractions(self, rates):
+        # one sum of positive terms: within 4 roundings of the exact value, where
+        # moment(2) - mean^2 cancelled to 4.8e-15 and 1.4e-14 relative
+        exact = sum(1 / Fraction(lam) ** 2 for lam in rates)
+        variance = HypoexpDistribution.from_rates(rates).variance()
+        assert abs(Fraction(variance) / exact - 1) <= 4 * 2.0**-53
+
     def test_third_moment_against_enumeration(self, dist12):
         assert dist12.moment(3) == pytest.approx(
             moment_bruteforce([1.0, 2.0], 3), rel=1e-12
@@ -426,10 +437,41 @@ class TestQuantile:
     @pytest.mark.parametrize("scale", (100.0, 1000.0))
     @pytest.mark.parametrize("p", F2_PS + (1 - 1e-10,))
     def test_width_stop_below_half(self, scale, p):
-        # F2's rates scaled up: the quantiles lie below 0.5, where the bracket
-        # reaches 1e-16 before it collapses and the bisection returns there
+        # F2's rates scaled up, where a stop at a bracket 1e-16 wide returned
+        # points missing p by up to 2.3e-7: now a call meets the stop or raises
         dist = HypoexpDistribution.from_rates([scale * 1.05**k for k in range(16)])
-        assert dist.quantile(p).hex() == quantile_capped(dist, p).hex()
+        try:
+            q = dist.quantile(p)
+        except NonConvergenceError:
+            return
+        assert abs(dist.cdf(q) - p) <= _QUANTILE_TOL
+
+    @pytest.mark.parametrize("e", (-10, -7, 7, 10))
+    @pytest.mark.parametrize("p", F2_PS + (1 - 1e-10,))
+    def test_f2_times_power_of_two(self, e, p):
+        # rates times 2^e raise where F2 raises, and else return F2's quantile
+        # times 2^-e bit for bit
+        rates = [1.05**k for k in range(16)]
+        dist = HypoexpDistribution.from_rates(rates)
+        scaled = HypoexpDistribution.from_rates([math.ldexp(r, e) for r in rates])
+        try:
+            q = dist.quantile(p)
+        except NonConvergenceError:
+            with pytest.raises(NonConvergenceError):
+                scaled.quantile(p)
+            return
+        assert scaled.quantile(p).hex() == math.ldexp(q, -e).hex()
+
+    def test_cdf_floor_above_p_raises(self):
+        # the weights sum to 1 - 3.9e-12, so the cdf next to 0 reads 3.9e-12 and
+        # the bracket halves down to [0, 5e-324]; the 1e-12 quantile is 56.44,
+        # where a stop at a bracket 1e-16 wide returned 4.5e-17
+        dist = HypoexpDistribution.from_rates(
+            [0.00136, 0.00165, 0.0021, 0.00234, 0.00247, 0.0031, 0.00419, 0.0104,
+             0.0539, 0.152]
+        )
+        with pytest.raises(NonConvergenceError, match=r"stopped at \[0\.0, 5e-324\]"):
+            dist.quantile(1e-12)
 
     @pytest.mark.parametrize("p", F2_PS[:3])
     def test_stalled_bisection_stops_early(self, monkeypatch, p):
@@ -460,6 +502,101 @@ class TestQuantile:
                 lambda t: 1 - mpmath.fsum(w * mpmath.exp(-lam * t) for w, lam in pairs) - 0.9, x
             )
             assert abs((x - root) / root) <= 1e-12
+
+
+#: Probabilities of the scale sweeps.
+SWEEP_PS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+
+
+class TestScaleFreeQuantile:
+    """Every returned quantile meets its stop, at any scale of the rates."""
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 8))
+    def test_maximum_closed_form(self, n):
+        # the maximum of n iid Exp(lam) sums Exp(lam), Exp(2 lam), ..., Exp(n lam),
+        # so its p-quantile is -log1p(-p^(1/n)) / lam at every lam
+        for k in range(-300, 301, 10):
+            lam = 10.0**k
+            dist = HypoexpDistribution.from_rates([lam * j for j in range(1, n + 1)])
+            for p in SWEEP_PS:
+                expected = -math.log1p(-(p ** (1.0 / n))) / lam
+                assert dist.quantile(p) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scale_sweep_meets_stop(self, seed):
+        rates = random_rates(np.random.default_rng(seed), 3 + seed)
+        for k in range(-300, 301, 50):
+            dist = HypoexpDistribution.from_rates([r * 10.0**k for r in rates])
+            for p in SWEEP_PS:
+                assert abs(dist.cdf(dist.quantile(p)) - p) <= _QUANTILE_TOL
+
+
+def _in_band(values, shift: int) -> bool:
+    """Each value is 0.0, or it and it times 2^shift lie 2^60 inside float64's
+    normal range, where scaling by 2^shift is exact for it and the terms
+    summed into it."""
+    exponents = [math.frexp(v)[1] for v in map(float, values) if v != 0.0]
+    return all(-960 <= x + s <= 960 for x in exponents for s in (0, shift))
+
+
+class TestPowerOfTwoEquivariance:
+    """Rates times 2^e and x times 2^-e: pdf times 2^e, cdf and survival the
+    same, quantile, draws and mean times 2^-e, moment k times 2^-ek, the
+    product-form Laplace transform at t 2^e and the weights the same, bit for
+    bit wherever the values stay normal floats."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(-1000, 1000),
+        st.sampled_from(QUANTILE_PS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_function(self, seed, n, e, p):
+        rng = np.random.default_rng(seed)
+        rates = random_rates(rng, n)
+        dist = HypoexpDistribution.from_rates(rates)
+        scaled = HypoexpDistribution.from_rates([math.ldexp(r, e) for r in rates])
+        assert scaled.weights == dist.weights
+
+        x = dist.mean() * np.concatenate([[0.0], rng.uniform(0.0, 8.0, 7)])
+        xs = np.ldexp(x, -e)
+        for fn, sfn in ((dist.cdf, scaled.cdf), (dist.survival, scaled.survival)):
+            assert sfn(xs).tobytes() == fn(x).tobytes()
+            assert [sfn(float(v)).hex() for v in xs] == [fn(float(v)).hex() for v in x]
+        pdf = dist.pdf(x)
+        if _in_band(dist._pdf_coeffs, e) and _in_band(pdf, e):
+            assert scaled.pdf(xs).tobytes() == np.ldexp(pdf, e).tobytes()
+        for v, sv in zip(x.tolist(), xs.tolist()):
+            # math.fsum rounds once, so a term that underflows on one side only
+            # can break a tie on the other: every term must stay in the band
+            terms = [c * math.exp(-lam * v) for c, lam in zip(dist._pdf_coeffs, rates)]
+            if _in_band(terms, e):
+                assert scaled.pdf(sv) == math.ldexp(dist.pdf(v), e)
+
+        for t in (0.0, 0.3, 5.0):
+            t /= dist.mean()
+            assert scaled.laplace(math.ldexp(t, e)) == dist.laplace(t)
+
+        for k in (1, 2, 3):
+            if _in_band([moment := dist.moment(k)], -e * k):
+                assert scaled.moment(k) == math.ldexp(moment, -e * k)
+        assert scaled.mean() == math.ldexp(dist.mean(), -e)
+        if _in_band([lam**-2 for lam in rates], -2 * e):
+            assert scaled.variance() == math.ldexp(dist.variance(), -2 * e)
+
+        draws = dist.sample(64, seed)
+        if _in_band(draws, -e):
+            assert scaled.sample(64, seed).tobytes() == np.ldexp(draws, -e).tobytes()
+
+        try:
+            q = dist.quantile(p)
+        except NonConvergenceError:
+            with pytest.raises(NonConvergenceError):
+                scaled.quantile(p)
+            return
+        if _in_band([q], -e):
+            assert scaled.quantile(p) == math.ldexp(q, -e)
 
 
 class TestSampling:
